@@ -7,7 +7,7 @@ use std::hint::black_box;
 use swh_core::footprint::FootprintPolicy;
 use swh_core::hybrid_bernoulli::HybridBernoulli;
 use swh_core::hybrid_reservoir::HybridReservoir;
-use swh_core::merge::{hb_merge, hr_merge, merge_all};
+use swh_core::merge::{hb_merge, hr_merge, merge_all, merge_tree_parallel};
 use swh_core::sample::Sample;
 use swh_core::sampler::Sampler;
 use swh_rand::seeded_rng;
@@ -53,28 +53,39 @@ fn bench_pairwise(c: &mut Criterion) {
     group.finish();
 }
 
+/// The paper's serial pairwise fold against the planned merge DAG run on
+/// one thread (multiway `HBMerge` / hypergeometric nodes), over the same
+/// partition samples.
 fn bench_merge_chain(c: &mut Criterion) {
     let per = 1 << 13;
     let n_f = 2048;
     let mut group = c.benchmark_group("serial_merge_chain");
     group.sample_size(10);
     for parts in [8u64, 32, 128] {
-        let hb = hb_samples(n_f, parts, per);
-        group.bench_with_input(BenchmarkId::new("HB", parts), &hb, |b, samples| {
-            let mut rng = seeded_rng(5);
-            b.iter(|| {
-                let m = merge_all(samples.clone(), 1e-3, &mut rng).expect("merge");
-                black_box(m.size())
-            })
-        });
-        let hr = hr_samples(n_f, parts, per);
-        group.bench_with_input(BenchmarkId::new("HR", parts), &hr, |b, samples| {
-            let mut rng = seeded_rng(6);
-            b.iter(|| {
-                let m = merge_all(samples.clone(), 1e-3, &mut rng).expect("merge");
-                black_box(m.size())
-            })
-        });
+        for (name, samples, seed) in [
+            ("HB", hb_samples(n_f, parts, per), 5),
+            ("HR", hr_samples(n_f, parts, per), 6),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, parts), &samples, |b, samples| {
+                let mut rng = seeded_rng(seed);
+                b.iter(|| {
+                    let m = merge_all(samples.clone(), 1e-3, &mut rng).expect("merge");
+                    black_box(m.size())
+                })
+            });
+            group.bench_with_input(
+                BenchmarkId::new(format!("{name}_planned"), parts),
+                &samples,
+                |b, samples| {
+                    let mut rng = seeded_rng(seed);
+                    b.iter(|| {
+                        let m =
+                            merge_tree_parallel(samples.clone(), 1e-3, 1, &mut rng).expect("merge");
+                        black_box(m.size())
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }

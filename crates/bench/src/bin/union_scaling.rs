@@ -19,11 +19,25 @@
 //!
 //! Both `r3` figures are gated in-binary under `SWH_PERF_ASSERT` and
 //! pinned in `bench_results/baselines.json` for `swh bench history --check`.
+//!
+//! Two more rows time single merge-plan nodes in microseconds (`node_us`,
+//! not gated), at every scale:
+//!
+//! * `hr16_node` — a 16-way hypergeometric node over 16 reservoirs of 512
+//!   elements, each from a parent of 8192 (the `adhoc_union` shape);
+//! * `hb16_node` — a 16-way `HBMerge` node over Bernoulli samples of about
+//!   940 elements (HB at n_F = 1024, p = 1e-6 over 16384-row partitions,
+//!   the `live_mixed` shape).
 
+use std::hint::black_box;
 use std::sync::Arc;
 use swh_bench::{section, time_secs, CsvOut, Scale};
 use swh_core::footprint::FootprintPolicy;
+use swh_core::hybrid_bernoulli::HybridBernoulli;
 use swh_core::hybrid_reservoir::HybridReservoir;
+use swh_core::merge::merge_tree_parallel;
+use swh_core::planner::{plan_union, NodeShape};
+use swh_core::sample::Sample;
 use swh_core::sampler::Sampler;
 use swh_rand::seeded_rng;
 use swh_warehouse::catalog::Catalog;
@@ -78,6 +92,52 @@ fn best_union_ms(catalog: &Catalog<u64>, reps: usize, seed: u64) -> (f64, u64) {
     (best, size)
 }
 
+/// Microseconds per node of a one-node merge plan over `inputs`, run on
+/// one thread as the catalog runs it: best of 20 batches of 32 unions, each
+/// over its own copy of the inputs (copied before the batch is timed).
+fn node_us(inputs: &[Sample<u64>], p_bound: f64, seed: u64) -> f64 {
+    const PER_BATCH: usize = 32;
+    let shapes: Vec<NodeShape> = inputs.iter().map(NodeShape::of).collect();
+    let n_f = inputs.first().map_or(0, |s| s.policy().n_f());
+    assert_eq!(plan_union(&shapes, n_f).merge_node_count(), 1);
+    let mut rng = seeded_rng(seed);
+    let mut best = f64::INFINITY;
+    for _ in 0..20 {
+        let batch: Vec<Vec<Sample<u64>>> = (0..PER_BATCH).map(|_| inputs.to_vec()).collect();
+        let (sizes, t) = time_secs(|| {
+            batch
+                .into_iter()
+                .map(|parts| {
+                    merge_tree_parallel(parts, p_bound, 1, &mut rng)
+                        .expect("merge")
+                        .size()
+                })
+                .sum::<u64>()
+        });
+        black_box(sizes);
+        best = best.min(t * 1e6 / PER_BATCH as f64);
+    }
+    best
+}
+
+/// The two probe shapes of `node_us`, as `(name, inputs, p_bound)`.
+fn probe_shapes() -> Vec<(&'static str, Vec<Sample<u64>>, f64)> {
+    let mut rng = seeded_rng(0x16);
+    let hr = (0..16u64)
+        .map(|i| {
+            HybridReservoir::new(FootprintPolicy::with_value_budget(512))
+                .sample_batch(i * 8192..(i + 1) * 8192, &mut rng)
+        })
+        .collect();
+    let hb = (0..16u64)
+        .map(|i| {
+            HybridBernoulli::with_p_bound(FootprintPolicy::with_value_budget(1024), 16_384, 1e-6)
+                .sample_batch(i * 16_384..(i + 1) * 16_384, &mut rng)
+        })
+        .collect();
+    vec![("hr16_node", hr, 1e-3), ("hb16_node", hb, 1e-6)]
+}
+
 fn main() {
     let scale = Scale::from_env();
     let (per_part, n_f) = match scale {
@@ -97,7 +157,7 @@ fn main() {
 
     let mut csv = CsvOut::new(
         "union_scaling",
-        "partitions,leaf_ms,cold_ms,warm_ms,nodes,flat_ratio,cache_speedup",
+        "shape,partitions,leaf_ms,cold_ms,warm_ms,nodes,flat_ratio,cache_speedup,node_us",
     );
     let mut base_cold_ms = f64::NAN;
     let mut gate = (f64::NAN, f64::NAN);
@@ -149,8 +209,22 @@ fn main() {
              {flat_ratio:>11.2} {cache_speedup:>14.1}"
         );
         csv.row(format!(
-            "{parts},{leaf_ms:.4},{cold_ms:.4},{warm_ms:.5},{nodes},{flat_ratio:.3},{cache_speedup:.2}"
+            "span,{parts},{leaf_ms:.4},{cold_ms:.4},{warm_ms:.5},{nodes},{flat_ratio:.3},\
+             {cache_speedup:.2},-"
         ));
+    }
+    println!(
+        "\n{:>10} {:>10} {:>14} {:>10}",
+        "node", "fan_in", "mean_input", "node_us"
+    );
+    for (name, inputs, p_bound) in probe_shapes() {
+        let mean_input = inputs.iter().map(Sample::size).sum::<u64>() / inputs.len() as u64;
+        let us = node_us(&inputs, p_bound, 0x5EED);
+        println!(
+            "{name:>10} {:>10} {mean_input:>14} {us:>10.2}",
+            inputs.len()
+        );
+        csv.row(format!("{name},{},-,-,-,1,-,-,{us:.3}", inputs.len()));
     }
     csv.finish();
     println!(

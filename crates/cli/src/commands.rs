@@ -450,8 +450,9 @@ fn profile_cmd(args: &Args, out: &mut dyn Write) -> CmdResult {
 /// Partitions are ingested through Algorithm HB's bulk `observe_batch`
 /// path (so the observe-phase segments feed the cost model) and merged
 /// through the planner-driven merge DAG, so the reported scopes are the
-/// plan's node labels (`union/node/pw*` balanced pairs, `cp*` alias-cached
-/// pairs, `mw*f<n>` multiway fan-in, `rs*` re-stream combines) plus the
+/// plan's node labels (`union/node/hb*f<n>` multiway `HBMerge` nodes,
+/// `pw*` pairs, `cp*` alias-cached pairs, `mw*f<n>` multiway fan-in, `rs*`
+/// re-stream combines) plus the
 /// flat per-merge `merge/<rule>/s<bucket>` scopes that feed the cost
 /// model. Threads default to 1 so every plan node's self-time is
 /// attributed on one thread and their sum accounts for the union

@@ -500,9 +500,10 @@ fn help_lists_commands() {
 }
 
 /// The profiling acceptance path: a profiled 64-partition union reports
-/// exactly one node per merge-tree node (63 for 64 leaves), their self-time
-/// accounts for the union wall-clock, and the fitted cost model lands on
-/// disk with merge and observe entries.
+/// exactly one node per merge-plan node (64 Bernoulli leaves plan to four
+/// fan-in-16 HB nodes and a root), their self-time accounts for the union
+/// wall-clock, and the fitted cost model lands on disk with merge and
+/// observe entries.
 #[test]
 fn profile_union_accounts_for_wall_clock() {
     let dir = tmp_store("profunion");
@@ -525,7 +526,7 @@ fn profile_union_accounts_for_wall_clock() {
         ])
         .output()
         .unwrap());
-    assert!(text.contains("merge-tree nodes : 63"), "{text}");
+    assert!(text.contains("merge-tree nodes : 5"), "{text}");
     // "...self 12.345 ms (96.5% of wall)" — the node self-time share.
     let pct: f64 = text
         .split_once("% of wall")
@@ -559,7 +560,7 @@ fn profile_union_accounts_for_wall_clock() {
         ])
         .output()
         .unwrap());
-    assert!(text.contains("\"merge_tree_nodes\": 7"), "{text}");
+    assert!(text.contains("\"merge_tree_nodes\": 1"), "{text}");
     assert!(text.contains("\"nodes\": ["), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -67,10 +67,7 @@ pub use merge::{
     hr_merge_tree_cached, merge, merge_all, merge_all_borrowed, merge_borrowed, merge_tree,
     HypergeometricCache, MergeError,
 };
-pub use planner::{
-    fold_cost, merge_planned, plan_union, planned_cost, MergePlan, NodeShape, PlanNode, PlanOp,
-    ShapeKind, Skeleton,
-};
+pub use planner::{plan_union, MergePlan, NodeShape, PlanNode, PlanOp, ShapeKind};
 pub use qbound::{q_approx, q_exact};
 pub use reservoir::ReservoirSampler;
 pub use sample::{Sample, SampleKind};

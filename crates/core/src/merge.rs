@@ -20,6 +20,7 @@
 //! All rules require the two samples to share the same footprint policy and
 //! refuse concise samples (not uniform, §3.3).
 
+use crate::footprint::FootprintPolicy;
 use crate::histogram::CompactHistogram;
 use crate::hybrid_bernoulli::HybridBernoulli;
 use crate::hybrid_reservoir::HybridReservoir;
@@ -27,7 +28,8 @@ use crate::invariant::invariant;
 use crate::lineage::{merged_lineage, merged_lineage_with_purges, LineageEvent, PurgeKind};
 use crate::planner::{plan_union, MergePlan, NodeShape, PlanOp};
 use crate::purge::{
-    bernoulli_subsample_ref, purge_bernoulli, purge_reservoir, reservoir_subsample_ref,
+    bernoulli_subsample_into, bernoulli_subsample_ref, purge_bernoulli, purge_reservoir,
+    reservoir_subsample_into, reservoir_subsample_ref,
 };
 use crate::qbound::q_approx;
 use crate::sample::{Sample, SampleKind};
@@ -779,12 +781,16 @@ fn plan_cached_merge<T: SampleValue, R: Rng + ?Sized>(
     )
 }
 
-/// Shared implementation of the multiway hypergeometric merge over owned
-/// and/or borrowed inputs; see [`hr_merge_multiway`] for the statistics.
-fn hr_merge_multiway_inputs<T: SampleValue, R: Rng + ?Sized>(
+/// A multiway node's validated inputs: one input passes through unmerged.
+enum MultiwayInputs<'a, T: SampleValue> {
+    Single(Sample<T>),
+    Merge(Vec<PlanInput<'a, T>>, FootprintPolicy),
+}
+
+/// Validate a multiway node's inputs as [`check_mergeable`] does a pair's.
+fn multiway_inputs<T: SampleValue>(
     mut inputs: Vec<PlanInput<'_, T>>,
-    rng: &mut R,
-) -> Result<Sample<T>, MergeError> {
+) -> Result<MultiwayInputs<'_, T>, MergeError> {
     let Some(first) = inputs.first() else {
         panic!("multiway merge needs at least one sample");
     };
@@ -802,8 +808,21 @@ fn hr_merge_multiway_inputs<T: SampleValue, R: Rng + ?Sized>(
         let Some(only) = inputs.pop() else {
             panic!("a one-element vector pops an element");
         };
-        return Ok(only.into_owned());
+        return Ok(MultiwayInputs::Single(only.into_owned()));
     }
+    Ok(MultiwayInputs::Merge(inputs, policy))
+}
+
+/// Shared implementation of the multiway hypergeometric merge over owned
+/// and/or borrowed inputs; see [`hr_merge_multiway`] for the statistics.
+fn hr_merge_multiway_inputs<T: SampleValue, R: Rng + ?Sized>(
+    inputs: Vec<PlanInput<'_, T>>,
+    rng: &mut R,
+) -> Result<Sample<T>, MergeError> {
+    let (inputs, policy) = match multiway_inputs(inputs)? {
+        MultiwayInputs::Single(only) => return Ok(only),
+        MultiwayInputs::Merge(inputs, policy) => (inputs, policy),
+    };
     let total_in: u64 = inputs.iter().map(|s| s.get().size()).sum();
     let _prof = merge_profile_scope(SampleKind::Reservoir, SampleKind::Reservoir, total_in);
     // Drop empty partitions (they contribute nothing, and zero-size
@@ -825,20 +844,83 @@ fn hr_merge_multiway_inputs<T: SampleValue, R: Rng + ?Sized>(
     let total_parent: u64 = parents.iter().sum();
     let fan_in = inputs.len() as u32;
     let shares = swh_rand::hypergeometric::sample_multivariate(rng, &parents, k);
-    let mut merged = CompactHistogram::new();
+    // Every input adds its share straight into the merged histogram.
+    let mut merged = CompactHistogram::with_slot_capacity(k);
     let mut purges = Vec::with_capacity(inputs.len());
-    let mut lineages: Vec<Vec<LineageEvent>> = Vec::with_capacity(inputs.len());
-    for (s, share) in inputs.into_iter().zip(shares) {
-        let (h, lineage) = s.subsampled_histogram(share, rng);
-        purges.push((PurgeKind::Reservoir, h.total()));
-        lineages.push(lineage);
-        merged.join(h);
+    for (s, &share) in inputs.iter().zip(&shares) {
+        reservoir_subsample_into(s.get().histogram(), share, &mut merged, rng);
+        purges.push((PurgeKind::Reservoir, share));
     }
     debug_assert_eq!(merged.total(), k);
-    let parent_lineages: Vec<&[LineageEvent]> = lineages.iter().map(Vec::as_slice).collect();
+    let parent_lineages: Vec<&[LineageEvent]> = inputs.iter().map(|s| s.get().lineage()).collect();
     note_merge(fan_in, 0);
     Ok(
         Sample::from_parts(merged, SampleKind::Reservoir, total_parent, policy).with_lineage(
+            merged_lineage_with_purges(&parent_lineages, &purges, fan_in, 0),
+        ),
+    )
+}
+
+/// Multiway `HBMerge` node (Fig. 6 lines 8–16 over any number of Bernoulli
+/// samples). A pairwise tree re-derives the rate from Eq. 1 at every level,
+/// and since `q(N, p, n_F)` falls as `N` grows the rates telescope to the
+/// root's `q = min(q(ΣN_i, p, n_F), min_i q_i)`. So the node thins each
+/// input once by `q/q_i` (a `Bern(q/q_i)` subsample of a `Bern(q_i)` sample
+/// is a `Bern(q)` sample, §3.1), joins them once, and only if the join
+/// overflows `n_F` purges it to an `n_F`-element reservoir. It differs from
+/// the pairwise tree only on the overflow events Eq. 1 bounds by `p`.
+///
+/// An input that is not Bernoulli (an upstream node overflowed into a
+/// reservoir) sends the node down the reservoir multiway rule, as
+/// [`merge`] dispatches a Bernoulli–reservoir pair to `HRMerge`.
+fn hb_merge_multiway_inputs<T: SampleValue, R: Rng + ?Sized>(
+    inputs: Vec<PlanInput<'_, T>>,
+    p_bound: f64,
+    rng: &mut R,
+) -> Result<Sample<T>, MergeError> {
+    let (inputs, policy) = match multiway_inputs(inputs)? {
+        MultiwayInputs::Single(only) => return Ok(only),
+        MultiwayInputs::Merge(inputs, policy) => (inputs, policy),
+    };
+    let mut rates = Vec::with_capacity(inputs.len());
+    for s in &inputs {
+        match s.get().kind() {
+            SampleKind::Bernoulli { q, .. } => rates.push(q),
+            _ => return hr_merge_multiway_inputs(inputs, rng),
+        }
+    }
+    let n_f = policy.n_f();
+    let total_in: u64 = inputs.iter().map(|s| s.get().size()).sum();
+    let hb = SampleKind::Bernoulli { q: 1.0, p_bound };
+    let _prof = merge_profile_scope(hb, hb, total_in);
+    let combined_n: u64 = inputs.iter().map(|s| s.get().parent_size()).sum();
+    let q_root = q_approx(combined_n, p_bound, n_f);
+    let q = rates.iter().copied().fold(q_root, f64::min);
+    // Audit the q-decay trajectory: the merged rate must stay at or below
+    // the Eq. 1 bound for the combined parent.
+    crate::audit::global().note_q_decay(q, q_root);
+    let fan_in = inputs.len() as u32;
+    let mut purges = Vec::with_capacity(inputs.len() + 1);
+    // Every input adds its thinned share straight into the merged
+    // histogram, sized for the join the node expects to keep.
+    let mut merged = CompactHistogram::with_slot_capacity(total_in.min(n_f));
+    for (s, q_i) in inputs.iter().zip(rates) {
+        let kept = bernoulli_subsample_into(s.get().histogram(), q / q_i, &mut merged, rng);
+        purges.push((PurgeKind::Bernoulli, kept));
+    }
+    let kind = if merged.slots() <= n_f && merged.total() <= n_f {
+        SampleKind::Bernoulli { q, p_bound }
+    } else {
+        // Low-probability fallback (Fig. 6 lines 14–16): a simple random
+        // subsample of a Bernoulli sample is uniform (§3.2).
+        purge_reservoir(&mut merged, n_f, rng);
+        purges.push((PurgeKind::Reservoir, merged.total()));
+        SampleKind::Reservoir
+    };
+    let parent_lineages: Vec<&[LineageEvent]> = inputs.iter().map(|s| s.get().lineage()).collect();
+    note_merge(fan_in, 0);
+    Ok(
+        Sample::from_parts(merged, kind, combined_n, policy).with_lineage(
             merged_lineage_with_purges(&parent_lineages, &purges, fan_in, 0),
         ),
     )
@@ -901,6 +983,7 @@ fn exec_plan_node<'a, T: SampleValue>(
             plan_cached_merge(a, b, cache, &mut rng)
         }
         PlanOp::Multiway { .. } => hr_merge_multiway_inputs(inputs, &mut rng),
+        PlanOp::HbMultiway { .. } => hb_merge_multiway_inputs(inputs, p_bound, &mut rng),
     }
 }
 
@@ -1319,6 +1402,228 @@ mod tests {
         // sees matching budgets (plain Bernoulli samples can exceed n_F; the
         // merge purges them down immediately).
         s
+    }
+
+    /// One multiway `HBMerge` node over owned inputs.
+    fn hb_node(
+        samples: Vec<Sample<u64>>,
+        p_bound: f64,
+        rng: &mut rand::rngs::SmallRng,
+    ) -> Sample<u64> {
+        let inputs = samples.into_iter().map(PlanInput::Owned).collect();
+        hb_merge_multiway_inputs(inputs, p_bound, rng).unwrap()
+    }
+
+    /// The node's oracle: a balanced tree of pairwise [`hb_merge`]s.
+    fn hb_pairwise_tree(
+        mut level: Vec<Sample<u64>>,
+        p_bound: f64,
+        rng: &mut rand::rngs::SmallRng,
+    ) -> Sample<u64> {
+        while level.len() > 1 {
+            let mut next = Vec::new();
+            let mut iter = level.into_iter();
+            while let Some(a) = iter.next() {
+                match iter.next() {
+                    Some(b) => next.push(hb_merge(a, b, p_bound, rng).unwrap()),
+                    None => next.push(a),
+                }
+            }
+            level = next;
+        }
+        level.pop().unwrap()
+    }
+
+    /// Plain Bernoulli inputs over consecutive `per`-element ranges, one per
+    /// rate.
+    fn bernoulli_inputs(
+        rates: &[f64],
+        per: u64,
+        n_f: u64,
+        rng: &mut rand::rngs::SmallRng,
+    ) -> Vec<Sample<u64>> {
+        (0..rates.len() as u64)
+            .map(|i| plain_bernoulli(i * per..(i + 1) * per, rates[i as usize], n_f, rng))
+            .collect()
+    }
+
+    #[test]
+    fn hb_multiway_node_includes_every_element_at_q() {
+        // Eight inputs at unequal rates: the node thins each once to
+        // q = min(q(ΣN, p, n_F), min q_i), so every element of the union is
+        // kept independently with probability q. n_F leaves no room for an
+        // overflow.
+        let rates = [0.85, 0.5, 0.7, 0.6, 0.8, 0.55, 0.75, 0.65];
+        let (per, n_f, trials) = (40u64, 256u64, 20_000usize);
+        let n = per * rates.len() as u64;
+        let q = q_approx(n, 1e-3, n_f).min(0.5);
+        let mut incl = vec![0u64; n as usize];
+        let mut rng = seeded_rng(60);
+        for _ in 0..trials {
+            let m = hb_node(bernoulli_inputs(&rates, per, n_f, &mut rng), 1e-3, &mut rng);
+            match m.kind() {
+                SampleKind::Bernoulli { q: got, .. } => assert_eq!(got, q),
+                other => panic!("node overflowed into {other:?}"),
+            }
+            assert_eq!(m.parent_size(), n);
+            for (v, c) in m.histogram().iter() {
+                assert_eq!(c, 1);
+                incl[*v as usize] += 1;
+            }
+        }
+        // Each element's tally is Binomial(trials, q).
+        let t = trials as f64;
+        let stat: f64 = incl
+            .iter()
+            .map(|&x| {
+                let d = x as f64 - t * q;
+                d * d / (t * q * (1.0 - q))
+            })
+            .sum();
+        let pv = chi_square_p_value(stat, n as f64);
+        assert!(pv > 1e-4, "inclusion at q={q}: chi2={stat:.1} p={pv:.2e}");
+    }
+
+    #[test]
+    fn hb_multiway_node_sizes_match_pairwise_tree() {
+        // Fixed inputs, fresh merge draws: the pairwise tree's rates
+        // telescope to the node's, so without overflows both thin every
+        // element to the same q and merged sizes share one law.
+        let rates = [0.3, 0.65, 0.4, 0.5, 0.35, 0.6, 0.45, 0.55];
+        let (per, n_f, trials) = (200u64, 1024u64, 10_000usize);
+        let mut rng = seeded_rng(61);
+        let parts = bernoulli_inputs(&rates, per, n_f, &mut rng);
+        let mut node = vec![0u64; n_f as usize + 1];
+        let mut tree = vec![0u64; n_f as usize + 1];
+        for _ in 0..trials {
+            let a = hb_node(parts.clone(), 1e-3, &mut rng);
+            let b = hb_pairwise_tree(parts.clone(), 1e-3, &mut rng);
+            assert!(matches!(a.kind(), SampleKind::Bernoulli { .. }));
+            assert!(matches!(b.kind(), SampleKind::Bernoulli { .. }));
+            assert_eq!(a.kind(), b.kind(), "rates must telescope to one q");
+            node[a.size() as usize] += 1;
+            tree[b.size() as usize] += 1;
+        }
+        let (stat, df) = swh_rand::stats::chi_square_two_sample(&node, &tree, 20);
+        let pv = chi_square_p_value(stat, df);
+        assert!(pv > 1e-4, "sizes differ: chi2={stat:.1} df={df} p={pv:.2e}");
+    }
+
+    #[test]
+    fn hb_multiway_node_overflow_falls_back_to_uniform_reservoir() {
+        // n_F = 16 with p = 0.4: the Eq. 1 rate lets the join overflow
+        // often, and the one reservoir purge must leave a uniform sample of
+        // exactly n_F elements. Unequal input rates make any thinning error
+        // show up as unequal inclusion between the inputs' ranges.
+        let rates = [0.3, 0.5, 0.7, 0.9];
+        let (per, n_f, trials) = (40u64, 16u64, 20_000usize);
+        let n = per * rates.len() as u64;
+        let mut rng = seeded_rng(62);
+        let mut incl = vec![0u64; n as usize];
+        let mut fallbacks = 0usize;
+        for _ in 0..trials {
+            let m = hb_node(bernoulli_inputs(&rates, per, n_f, &mut rng), 0.4, &mut rng);
+            assert!(m.size() <= n_f);
+            if m.kind() == SampleKind::Reservoir {
+                fallbacks += 1;
+                assert_eq!(m.size(), n_f);
+            }
+            for (v, c) in m.histogram().iter() {
+                assert_eq!(c, 1);
+                incl[*v as usize] += 1;
+            }
+        }
+        assert!(fallbacks > trials / 20, "fallback too rare ({fallbacks})");
+        let total: u64 = incl.iter().sum();
+        let exp = vec![total as f64 / n as f64; n as usize];
+        let stat = chi_square_statistic(&incl, &exp);
+        let pv = chi_square_p_value(stat, (n - 1) as f64);
+        assert!(pv > 1e-4, "fallback not uniform: chi2={stat:.1} p={pv:.2e}");
+    }
+
+    #[test]
+    fn hb_multiway_node_with_reservoir_input_takes_hypergeometric_rule() {
+        // An upstream overflow hands the node a reservoir. Like a
+        // Bernoulli–reservoir pair under `merge`, the node then merges
+        // hypergeometrically: k = the smallest input, uniform over the union.
+        let (n_f, trials) = (8u64, 20_000usize);
+        let mut rng = seeded_rng(63);
+        let mut incl = vec![0u64; 90];
+        for _ in 0..trials {
+            let parts = vec![
+                plain_bernoulli(0..30, 0.5, n_f, &mut rng),
+                reservoir_sample(30..60, n_f, &mut rng),
+                plain_bernoulli(60..90, 0.8, n_f, &mut rng),
+            ];
+            let k = parts.iter().map(Sample::size).min().unwrap();
+            let m = hb_node(parts, 1e-3, &mut rng);
+            assert_eq!(m.kind(), SampleKind::Reservoir);
+            assert_eq!(m.size(), k);
+            assert_eq!(m.parent_size(), 90);
+            for (v, _) in m.histogram().iter() {
+                incl[*v as usize] += 1;
+            }
+        }
+        let total: u64 = incl.iter().sum();
+        let exp = vec![total as f64 / 90.0; 90];
+        let stat = chi_square_statistic(&incl, &exp);
+        let pv = chi_square_p_value(stat, 89.0);
+        assert!(pv > 1e-4, "not uniform: chi2={stat:.1} p={pv:.2e}");
+    }
+
+    #[test]
+    fn bernoulli_plan_with_forced_overflow_stays_uniform() {
+        // 32 Bernoulli leaves plan to two 16-way HB nodes under a two-way
+        // root. n_F = 8 with p = 0.4 overflows the lower nodes often, so the
+        // root regularly receives a reservoir and takes the hypergeometric
+        // rule — visible in its lineage as a reservoir split purge just
+        // before the final Merge, where the HB rule records Bernoulli
+        // thinning purges.
+        let rates = [0.4, 0.6, 0.8, 0.5];
+        let (per, n_f, trials) = (10u64, 8u64, 5_000usize);
+        let leaves = 32u64;
+        let n = leaves * per;
+        let mut rng = seeded_rng(64);
+        let mut incl = vec![0u64; n as usize];
+        let mut hr_roots = 0usize;
+        for _ in 0..trials {
+            let parts: Vec<Sample<u64>> = (0..leaves)
+                .map(|i| {
+                    let rate = rates[(i % 4) as usize];
+                    plain_bernoulli(i * per..(i + 1) * per, rate, n_f, &mut rng)
+                })
+                .collect();
+            let m = merge_tree_parallel(parts, 0.4, 1, &mut rng).unwrap();
+            assert!(m.size() <= n_f);
+            assert_eq!(m.parent_size(), n);
+            let lin = m.lineage();
+            assert!(matches!(
+                lin.last(),
+                Some(LineageEvent::Merge { fan_in: 2, .. })
+            ));
+            if matches!(
+                lin[lin.len() - 3],
+                LineageEvent::Purge {
+                    kind: PurgeKind::Reservoir,
+                    ..
+                }
+            ) {
+                hr_roots += 1;
+            }
+            for (v, c) in m.histogram().iter() {
+                assert_eq!(c, 1);
+                incl[*v as usize] += 1;
+            }
+        }
+        assert!(
+            hr_roots > trials / 20,
+            "root took the HR rule {hr_roots} times"
+        );
+        let total: u64 = incl.iter().sum();
+        let exp = vec![total as f64 / n as f64; n as usize];
+        let stat = chi_square_statistic(&incl, &exp);
+        let pv = chi_square_p_value(stat, (n - 1) as f64);
+        assert!(pv > 1e-4, "not uniform: chi2={stat:.1} p={pv:.2e}");
     }
 
     #[test]

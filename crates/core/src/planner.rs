@@ -11,32 +11,25 @@
 //! it is the smaller side. Arrival-order folds can instead stream large
 //! accumulated histograms over and over.
 //!
-//! [`merge_planned`] executes: descending fold over the exhaustive group,
-//! balanced tree over the bounded group, one final combining merge.
-//! [`fold_cost`] / [`planned_cost`] expose the cost model (elements
-//! touched) so tests can verify the plan never loses to the arrival-order
-//! fold. All orders produce the same uniform distribution — planning only
-//! changes the work, never the statistics.
-//!
-//! [`plan_union`] generalizes the same grouping into an explicit merge
-//! **DAG** ([`MergePlan`]) that the work-stealing executor
-//! ([`crate::executor`]) runs: equal-size simple-random siblings become
+//! [`plan_union`] turns that grouping into an explicit merge **DAG**
+//! ([`MergePlan`]) that the work-stealing executor ([`crate::executor`])
+//! runs, on one thread or many: equal-size simple-random siblings become
 //! alias-cached symmetric merges (§4.2), runs of distinct-size bounded
 //! samples become multiway hypergeometric nodes
-//! ([`crate::merge::hr_merge_multiway`]), and exhaustive samples keep the
-//! descending re-stream chain. Plans carry per-node costs so
-//! [`MergePlan::best_threads`] can pick a worker count from the *measured*
-//! cost model ([`crate::costmodel`]) when a snapshot is installed, falling
-//! back to the element-count model otherwise. The plan is a pure function
-//! of the input shapes and `n_F` — never of the cost model or thread
-//! count — so planned results stay byte-identical across machines and
-//! schedules.
+//! ([`crate::merge::hr_merge_multiway`]), groups of Bernoulli samples
+//! become multiway `HBMerge` nodes that thin each input once, and
+//! exhaustive samples keep the descending re-stream chain. Plans carry
+//! per-node costs so [`MergePlan::best_threads`] can pick a worker count
+//! from the *measured* cost model ([`crate::costmodel`]) when a snapshot is
+//! installed, falling back to the element-count model otherwise. The plan
+//! is a pure function of the input shapes and `n_F` — never of the cost
+//! model or thread count — so planned results stay byte-identical across
+//! machines and schedules. All plans produce the same uniform distribution
+//! as the paper's serial fold; planning only changes the work.
 
 use crate::costmodel::CostModel;
-use crate::merge::{merge, MergeError};
 use crate::sample::{Sample, SampleKind};
 use crate::value::SampleValue;
-use rand::Rng;
 
 /// Abstract cost of merging two samples, in "elements touched":
 /// an exhaustive–exhaustive merge streams the smaller side; a mixed merge
@@ -47,152 +40,6 @@ pub fn pair_cost(size_a: u64, exhaustive_a: bool, size_b: u64, exhaustive_b: boo
         (true, false) => size_a,
         (false, true) => size_b,
         (false, false) => size_a + size_b,
-    }
-}
-
-/// Size/provenance skeleton of a sample, for cost accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Skeleton {
-    /// Number of data elements the sample holds.
-    pub size: u64,
-    /// Whether it is an exhaustive histogram.
-    pub exhaustive: bool,
-}
-
-impl Skeleton {
-    /// Skeleton of a live sample.
-    pub fn of<T: SampleValue>(s: &Sample<T>) -> Self {
-        Self {
-            size: s.size(),
-            exhaustive: s.kind() == SampleKind::Exhaustive,
-        }
-    }
-
-    fn merged_with(self, other: Self, n_f: u64) -> Self {
-        if self.exhaustive && other.exhaustive {
-            // A join of histograms stays exhaustive until the footprint
-            // bound forces sampling (optimistic for costing purposes).
-            let total = self.size + other.size;
-            Self {
-                size: total.min(n_f.max(1)),
-                exhaustive: total <= n_f,
-            }
-        } else {
-            Self {
-                size: (self.size + other.size).min(n_f.max(1)),
-                exhaustive: false,
-            }
-        }
-    }
-}
-
-/// Cost of the naive arrival-order left fold over the given skeletons.
-pub fn fold_cost(skeletons: &[Skeleton], n_f: u64) -> u64 {
-    let mut iter = skeletons.iter().copied();
-    let Some(mut acc) = iter.next() else { return 0 };
-    let mut cost = 0u64;
-    for s in iter {
-        cost += pair_cost(acc.size, acc.exhaustive, s.size, s.exhaustive);
-        acc = acc.merged_with(s, n_f);
-    }
-    cost
-}
-
-/// Cost of the planned order: descending-size fold over the exhaustive
-/// group, balanced tree over the bounded group, one combining merge.
-pub fn planned_cost(skeletons: &[Skeleton], n_f: u64) -> u64 {
-    let mut cost = 0u64;
-    let mut exhaustive: Vec<Skeleton> =
-        skeletons.iter().copied().filter(|s| s.exhaustive).collect();
-    let bounded: Vec<Skeleton> = skeletons
-        .iter()
-        .copied()
-        .filter(|s| !s.exhaustive)
-        .collect();
-    // Descending fold: the accumulator is always the largest so far; every
-    // other exhaustive sample is the (streamed) smaller side exactly once.
-    exhaustive.sort_by_key(|s| std::cmp::Reverse(s.size));
-    let mut exhaustive_acc: Option<Skeleton> = None;
-    for s in exhaustive {
-        exhaustive_acc = Some(match exhaustive_acc {
-            None => s,
-            Some(acc) => {
-                cost += pair_cost(acc.size, acc.exhaustive, s.size, s.exhaustive);
-                acc.merged_with(s, n_f)
-            }
-        });
-    }
-    // Balanced tree over bounded samples.
-    let mut level = bounded;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut iter = level.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => {
-                    cost += pair_cost(a.size, a.exhaustive, b.size, b.exhaustive);
-                    next.push(a.merged_with(b, n_f));
-                }
-                None => next.push(a),
-            }
-        }
-        level = next;
-    }
-    match (exhaustive_acc, level.pop()) {
-        (Some(a), Some(b)) => cost + pair_cost(a.size, a.exhaustive, b.size, b.exhaustive),
-        _ => cost,
-    }
-}
-
-/// Merge any number of partition samples with the cost-aware plan.
-///
-/// # Panics
-/// Panics if `samples` is empty.
-pub fn merge_planned<T: SampleValue, R: Rng + ?Sized>(
-    samples: Vec<Sample<T>>,
-    p_bound: f64,
-    rng: &mut R,
-) -> Result<Sample<T>, MergeError> {
-    assert!(
-        !samples.is_empty(),
-        "merge_planned needs at least one sample"
-    );
-    let (mut exhaustive, bounded): (Vec<_>, Vec<_>) = samples
-        .into_iter()
-        .partition(|s| s.kind() == SampleKind::Exhaustive);
-
-    // Descending-size fold over the exhaustive group: the merge machinery
-    // streams the smaller side, so each sample is streamed exactly once.
-    exhaustive.sort_by_key(|s| std::cmp::Reverse(s.size()));
-    let mut exhaustive_iter = exhaustive.into_iter();
-    let mut exhaustive_result = exhaustive_iter.next();
-    for s in exhaustive_iter {
-        exhaustive_result = Some(match exhaustive_result.take() {
-            Some(acc) => merge(acc, s, p_bound, rng)?,
-            None => s,
-        });
-    }
-
-    // Balanced tree over bounded samples.
-    let mut level = bounded;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut iter = level.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => next.push(merge(a, b, p_bound, rng)?),
-                None => next.push(a),
-            }
-        }
-        level = next;
-    }
-    let bounded_result = level.pop();
-
-    match (exhaustive_result, bounded_result) {
-        (Some(a), Some(b)) => merge(b, a, p_bound, rng),
-        (Some(a), None) => Ok(a),
-        (None, Some(b)) => Ok(b),
-        (None, None) => unreachable!("input was non-empty"),
     }
 }
 
@@ -207,10 +54,10 @@ pub const FALLBACK_NS_PER_ELEMENT: f64 = 40.0;
 /// never pay thread-spawn latency for microseconds of merge work.
 pub const WORKER_SPAWN_NS: f64 = 60_000.0;
 
-/// Largest fan-in [`plan_union`] gives a multiway hypergeometric node.
-/// Beyond this the multivariate split's accuracy gain over a tree of
-/// pairwise merges no longer pays for the loss of parallelism (a multiway
-/// node is a serialization point).
+/// Largest fan-in [`plan_union`] gives a multiway node, hypergeometric or
+/// `HBMerge`. Beyond this the work saved over a tree of pairwise merges no
+/// longer pays for the loss of parallelism (a multiway node is a
+/// serialization point).
 pub const MAX_MULTIWAY_FAN_IN: usize = 16;
 
 /// Statistical provenance class of a (planned) sample, refining
@@ -361,6 +208,15 @@ pub enum PlanOp {
         /// Child node indices, in draw order.
         children: Vec<usize>,
     },
+    /// Multiway `HBMerge` over 2..=[`MAX_MULTIWAY_FAN_IN`] Bernoulli
+    /// children: each is thinned once to the node's rate and all are joined,
+    /// with one reservoir purge to `n_F` if the join overflows. A child that
+    /// arrives as a reservoir (an upstream overflow) switches the node to
+    /// the [`PlanOp::Multiway`] rule.
+    HbMultiway {
+        /// Child node indices, in thinning order.
+        children: Vec<usize>,
+    },
 }
 
 /// One node of a [`MergePlan`]: its operator, predicted output shape,
@@ -403,8 +259,10 @@ pub struct MergePlan {
 /// Grouping rules (deterministic in the input shapes only):
 /// - exhaustive inputs form a descending-size re-stream chain (`rs*`
 ///   labels), so each is streamed exactly once as the smaller side;
-/// - if every bounded input is Bernoulli, they form a balanced pairwise
-///   tree (`pw*`), preserving rate-equalization semantics;
+/// - if every bounded input is Bernoulli, they form a tree of multiway
+///   `HBMerge` nodes (`hb*`) of up to [`MAX_MULTIWAY_FAN_IN`] children per
+///   node, level by level in input order, in as few nodes per level as the
+///   cap allows and with fan-ins that differ by at most one;
 /// - otherwise, per level: consecutive runs of three or more reservoir
 ///   nodes collapse into multiway nodes (`mw*`) of up to
 ///   [`MAX_MULTIWAY_FAN_IN`] children — one multivariate hypergeometric
@@ -415,7 +273,8 @@ pub struct MergePlan {
 ///   otherwise; a level of mutually unmergeable singles (e.g. reservoir
 ///   next to Bernoulli) merges its two smallest via the standard dispatch;
 /// - the bounded root and the exhaustive chain combine in a final `rs`
-///   pair (bounded side left, mirroring [`merge_planned`]).
+///   pair (bounded side left, so the exhaustive side is the one
+///   re-streamed).
 ///
 /// # Panics
 /// Panics if `shapes` is empty.
@@ -452,6 +311,25 @@ pub fn plan_union(shapes: &[NodeShape], n_f: u64) -> MergePlan {
             shape: a.merged_with(b, n_f),
             cost: pair_cost(a.size, a.exhaustive(), b.size, b.exhaustive()),
             label: format!("union/node/{prefix}{idx}"),
+        });
+        idx
+    }
+
+    fn push_hb_multiway(nodes: &mut Vec<PlanNode>, children: &[usize], n_f: u64) -> usize {
+        let idx = nodes.len();
+        let size: u64 = children.iter().map(|&c| nodes[c].shape.size).sum();
+        let fan_in = children.len();
+        nodes.push(PlanNode {
+            op: PlanOp::HbMultiway {
+                children: children.to_vec(),
+            },
+            shape: NodeShape {
+                size: size.min(n_f.max(1)),
+                kind: ShapeKind::Bernoulli,
+                source: NodeSource::Raw,
+            },
+            cost: size,
+            label: format!("union/node/hb{idx}f{fan_in}"),
         });
         idx
     }
@@ -502,15 +380,15 @@ pub fn plan_union(shapes: &[NodeShape], n_f: u64) -> MergePlan {
         .iter()
         .all(|&i| shapes[i].kind == ShapeKind::Bernoulli);
     if all_bernoulli {
-        // Balanced pairwise tree keeps rate-equalization semantics.
         while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            let mut iter = level.into_iter();
-            while let Some(a) = iter.next() {
-                match iter.next() {
-                    Some(b) => next.push(push_pair(&mut nodes, a, b, false, "pw", n_f)),
-                    None => next.push(a),
-                }
+            let groups = level.len().div_ceil(MAX_MULTIWAY_FAN_IN);
+            let (base, extra) = (level.len() / groups, level.len() % groups);
+            let mut next = Vec::with_capacity(groups);
+            let mut start = 0;
+            for g in 0..groups {
+                let end = start + base + usize::from(g < extra);
+                next.push(push_hb_multiway(&mut nodes, &level[start..end], n_f));
+                start = end;
             }
             level = next;
         }
@@ -561,9 +439,8 @@ pub fn plan_union(shapes: &[NodeShape], n_f: u64) -> MergePlan {
     let bounded_root = level.pop();
 
     let root = match (chain, bounded_root) {
-        // Bounded side left, exhaustive side right: mirrors merge_planned's
-        // final `merge(bounded, exhaustive)` so the exhaustive side is the
-        // one re-streamed.
+        // Bounded side left, exhaustive side right, so the exhaustive side
+        // is the one re-streamed.
         (Some(c), Some(b)) => push_pair(&mut nodes, b, c, false, "rs", n_f),
         (Some(c), None) => c,
         (None, Some(b)) => b,
@@ -580,7 +457,7 @@ impl MergePlan {
             PlanOp::Pair { left, right } | PlanOp::CachedPair { left, right } => {
                 vec![*left, *right]
             }
-            PlanOp::Multiway { children } => children.clone(),
+            PlanOp::Multiway { children } | PlanOp::HbMultiway { children } => children.clone(),
         }
     }
 
@@ -704,6 +581,7 @@ mod tests {
     use super::*;
     use crate::footprint::FootprintPolicy;
     use crate::hybrid_reservoir::HybridReservoir;
+    use crate::merge::merge_tree_parallel;
     use crate::sampler::Sampler;
     use swh_rand::seeded_rng;
     use swh_rand::stats::{chi_square_p_value, chi_square_statistic};
@@ -713,75 +591,26 @@ mod tests {
     }
 
     #[test]
-    fn planned_cost_beats_ascending_fold() {
-        // Exhaustive sizes arriving ascending: the arrival-order fold
-        // streams the (growing) accumulator at almost every step, while
-        // the descending plan streams each sample once.
-        let sk: Vec<Skeleton> = (0..16)
-            .map(|i| Skeleton {
+    fn exhaustive_chain_streams_each_sample_once() {
+        // Exhaustive sizes arriving ascending: an arrival-order fold would
+        // stream the (growing) accumulator at almost every step, while the
+        // descending chain streams each sample once, as the smaller side.
+        let shapes: Vec<NodeShape> = (0..16)
+            .map(|i| NodeShape {
                 size: 1u64 << i,
-                exhaustive: true,
+                kind: ShapeKind::Exhaustive,
+                source: NodeSource::Raw,
             })
             .collect();
-        let n_f = 1 << 30; // stays exhaustive throughout
-        let fold = fold_cost(&sk, n_f);
-        let planned = planned_cost(&sk, n_f);
-        assert!(planned < fold, "planned {planned} !< fold {fold}");
-        // Planned = sum of all non-largest sizes (each streamed once).
-        assert_eq!(planned, (1u64 << 15) - 1);
+        let plan = plan_union(&shapes, 1 << 30); // stays exhaustive throughout
+        assert_eq!(plan.merge_node_count(), 15);
+        let cost: u64 = plan.nodes.iter().map(|n| n.cost).sum();
+        // Cost = sum of all non-largest sizes.
+        assert_eq!(cost, (1u64 << 15) - 1);
     }
 
     #[test]
-    fn planned_never_materially_worse_over_random_permutations() {
-        // Realistic skeletons: bounded samples cannot exceed n_F (their
-        // size is capped by construction); exhaustive sizes are arbitrary.
-        // The plan may pay up to one extra bounded combine (≤ 2·n_F) for
-        // its group separation but must never lose more than that, and
-        // must win big when large exhaustive samples arrive early.
-        use rand::seq::SliceRandom;
-        let mut rng = seeded_rng(5);
-        for trial in 0..300 {
-            use rand::Rng as _;
-            let n = rng.random_range(2..20);
-            let n_f: u64 = rng.random_range(64..10_000);
-            let mut sk: Vec<Skeleton> = (0..n)
-                .map(|_| {
-                    if rng.random_bool(0.5) {
-                        Skeleton {
-                            size: rng.random_range(1..1_000_000),
-                            exhaustive: true,
-                        }
-                    } else {
-                        Skeleton {
-                            size: rng.random_range(1..=n_f),
-                            exhaustive: false,
-                        }
-                    }
-                })
-                .collect();
-            sk.shuffle(&mut rng);
-            let fold = fold_cost(&sk, n_f);
-            let planned = planned_cost(&sk, n_f);
-            assert!(
-                planned <= fold + 2 * n_f,
-                "trial {trial}: planned {planned} > fold {fold} + slack for {sk:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn costs_equal_for_homogeneous_bounded_samples() {
-        let sk: Vec<Skeleton> = (0..16)
-            .map(|_| Skeleton {
-                size: 512,
-                exhaustive: false,
-            })
-            .collect();
-        assert_eq!(fold_cost(&sk, 512), planned_cost(&sk, 512));
-    }
-
-    #[test]
-    fn merge_planned_matches_merge_all_semantics() {
+    fn planned_union_matches_merge_all_semantics() {
         let mut rng = seeded_rng(1);
         // Mixed provenance: 2 exhaustive (few distinct values) + 6 bounded.
         let mut samples = Vec::new();
@@ -796,13 +625,13 @@ mod tests {
             samples.push(HybridReservoir::new(policy(64)).sample_batch(lo..lo + 2_000, &mut rng));
         }
         let total: u64 = samples.iter().map(Sample::parent_size).sum();
-        let m = merge_planned(samples, 1e-3, &mut rng).unwrap();
+        let m = merge_tree_parallel(samples, 1e-3, 1, &mut rng).unwrap();
         assert_eq!(m.parent_size(), total);
         assert!(m.size() <= 64);
     }
 
     #[test]
-    fn merge_planned_is_uniform() {
+    fn planned_union_is_uniform() {
         let mut rng = seeded_rng(2);
         let (trials, n_f) = (15_000usize, 8u64);
         let mut incl = vec![0u64; 60];
@@ -812,7 +641,7 @@ mod tests {
                 HybridReservoir::new(policy(n_f)).sample_batch(20..40u64, &mut rng),
                 HybridReservoir::new(policy(n_f)).sample_batch(40..60u64, &mut rng),
             ];
-            let m = merge_planned(samples, 1e-3, &mut rng).unwrap();
+            let m = merge_tree_parallel(samples, 1e-3, 1, &mut rng).unwrap();
             for (v, _) in m.histogram().iter() {
                 incl[*v as usize] += 1;
             }
@@ -833,7 +662,7 @@ mod tests {
         let mut rng = seeded_rng(3);
         let s = HybridReservoir::new(policy(16)).sample_batch(0..100u64, &mut rng);
         let expected = s.clone();
-        let m = merge_planned(vec![s], 1e-3, &mut rng).unwrap();
+        let m = merge_tree_parallel(vec![s], 1e-3, 1, &mut rng).unwrap();
         assert_eq!(m, expected);
     }
 
@@ -901,22 +730,41 @@ mod tests {
         assert!(root.label.starts_with("union/node/mw"));
     }
 
-    #[test]
-    fn all_bernoulli_plans_to_balanced_pair_tree() {
-        let shapes: Vec<NodeShape> = (0..16)
+    fn bernoulli_shapes(count: u64) -> Vec<NodeShape> {
+        (0..count)
             .map(|i| NodeShape {
                 size: 200 + i,
                 kind: ShapeKind::Bernoulli,
                 source: NodeSource::Raw,
             })
-            .collect();
-        let plan = plan_union(&shapes, 4096);
-        assert_eq!(plan.merge_node_count(), 15);
+            .collect()
+    }
+
+    #[test]
+    fn all_bernoulli_plans_to_multiway_hb_nodes() {
+        // Up to the fan-in cap: one node thins and joins every input.
+        let plan = plan_union(&bernoulli_shapes(16), 4096);
+        assert_eq!(plan.merge_node_count(), 1);
+        let root = &plan.nodes[plan.root];
+        assert!(matches!(&root.op, PlanOp::HbMultiway { children } if children.len() == 16));
+        assert_eq!(root.shape.kind, ShapeKind::Bernoulli);
+        assert_eq!(root.shape.size, (200..216).sum::<u64>());
+        assert!(root.label.starts_with("union/node/hb"));
+        // 64 inputs: four full nodes, then one over their outputs.
+        let plan = plan_union(&bernoulli_shapes(64), 4096);
+        assert_eq!(plan.merge_node_count(), 5);
         assert!(plan
             .nodes
             .iter()
             .filter(|n| !matches!(n.op, PlanOp::Leaf { .. }))
-            .all(|n| matches!(n.op, PlanOp::Pair { .. })));
+            .all(|n| matches!(n.op, PlanOp::HbMultiway { .. })));
+        // 17 inputs split 9 + 8 rather than 16 + 1, then a two-way root.
+        let plan = plan_union(&bernoulli_shapes(17), 4096);
+        let fan_ins: Vec<usize> = (0..plan.nodes.len())
+            .filter(|&i| !plan.nodes[i].is_leaf())
+            .map(|i| plan.children(i).len())
+            .collect();
+        assert_eq!(fan_ins, vec![9, 8, 2]);
     }
 
     #[test]

@@ -36,8 +36,8 @@ fn union_of_64_partitions_yields_one_profile_node_per_plan_node() {
     let expected: BTreeSet<String> = plan.merge_node_labels().map(|l| l.to_string()).collect();
     assert_eq!(
         expected.len(),
-        63,
-        "a 64-leaf plan over Bernoulli partitions has 63 pair nodes"
+        5,
+        "a 64-leaf plan over Bernoulli partitions has four fan-in-16 HB nodes and a root"
     );
 
     profile::set_enabled(true);

@@ -1,8 +1,9 @@
 //! Schedule-independence contract of the planner-driven parallel union:
 //! for a fixed caller RNG state the union result is **byte-identical**
 //! across thread counts (`1, 2, 8, 64`) and across repeated runs (whose
-//! steal orders differ), for both the owned and borrowed entry points —
-//! and a planner-driven multiway union remains statistically uniform.
+//! steal orders differ), for both the owned and borrowed entry points and
+//! for all-Bernoulli plans of multiway `HBMerge` nodes — and a
+//! planner-driven multiway union remains statistically uniform.
 
 use std::collections::BTreeSet;
 use swh_core::merge::{merge_tree_parallel, merge_tree_parallel_borrowed};
@@ -69,6 +70,7 @@ fn mixed_plan_exercises_every_operator() {
             PlanOp::Pair { .. } => "pair",
             PlanOp::CachedPair { .. } => "cached",
             PlanOp::Multiway { .. } => "multiway",
+            PlanOp::HbMultiway { .. } => "hb_multiway",
         })
         .collect();
     for op in ["leaf", "pair", "cached", "multiway"] {
@@ -107,6 +109,62 @@ fn borrowed_union_is_byte_identical_across_thread_counts_and_runs() {
     }
     for rep in 0..5 {
         assert_eq!(run(8), reference, "repetition {rep} diverged");
+    }
+}
+
+/// Bernoulli-phase hybrids over disjoint ranges: their union plans to a
+/// tree of multiway `HBMerge` nodes only.
+fn bernoulli_partitions(count: u64, n_f: u64) -> Vec<Sample<u64>> {
+    let mut rng = seeded_rng(0xB0B);
+    (0..count)
+        .map(|p| {
+            let lo = p * 4_000;
+            HybridBernoulli::new(policy(n_f), 4_000).sample_batch(lo..lo + 4_000, &mut rng)
+        })
+        .collect()
+}
+
+#[test]
+fn all_bernoulli_union_is_byte_identical_across_thread_counts() {
+    let parts = bernoulli_partitions(40, 64);
+    assert!(parts
+        .iter()
+        .all(|s| matches!(s.kind(), SampleKind::Bernoulli { .. })));
+    let shapes: Vec<NodeShape> = parts.iter().map(NodeShape::of).collect();
+    let plan = plan_union(&shapes, 64);
+    // 40 leaves: three nodes of fan-in 14, 13 and 13, then one over them.
+    assert_eq!(plan.merge_node_count(), 4);
+    assert!(plan
+        .nodes
+        .iter()
+        .filter(|n| !matches!(n.op, PlanOp::Leaf { .. }))
+        .all(|n| matches!(n.op, PlanOp::HbMultiway { .. })));
+    let refs: Vec<&Sample<u64>> = parts.iter().collect();
+    // p_bound 0.4 makes the nodes overflow often enough that some upper
+    // node receives a reservoir and takes the hypergeometric rule.
+    for p_bound in [1e-3, 0.4] {
+        let run = |threads: usize| {
+            let mut rng = seeded_rng(2024);
+            merge_tree_parallel(parts.clone(), p_bound, threads, &mut rng).expect("union merges")
+        };
+        let run_borrowed = |threads: usize| {
+            let mut rng = seeded_rng(2025);
+            merge_tree_parallel_borrowed(&refs, p_bound, threads, &mut rng).expect("union merges")
+        };
+        let (reference, borrowed) = (run(1), run_borrowed(1));
+        assert_eq!(reference.parent_size(), 40 * 4_000);
+        assert_eq!(borrowed.parent_size(), 40 * 4_000);
+        for threads in [2usize, 8] {
+            assert_eq!(run(threads), reference, "p={p_bound} threads={threads}");
+            assert_eq!(
+                run_borrowed(threads),
+                borrowed,
+                "borrowed p={p_bound} threads={threads}"
+            );
+        }
+        for rep in 0..3 {
+            assert_eq!(run(8), reference, "p={p_bound} repetition {rep}");
+        }
     }
 }
 

@@ -164,13 +164,75 @@ impl Hypergeometric {
     }
 }
 
+/// Draw `L ~ HG(d1, d2, k)` (Eq. 2) without building the pmf: inversion
+/// that starts at the mode and walks outward, alternating sides, stepping
+/// with Eq. (3)'s ratio. The expected number of steps is of the order of
+/// the standard deviation, `O(√k)`, against [`Hypergeometric::new`]'s
+/// `k + 1` terms and three allocations.
+///
+/// The mode's probability comes from log binomial coefficients; if rounding
+/// leaves the walked mass short of `u`, the draw restarts with a fresh `u`,
+/// so the sampled law is exactly proportional to the computed terms.
+///
+/// # Panics
+/// Panics if `k > d1 + d2`.
+pub fn sample_hypergeometric<R: Rng + ?Sized>(rng: &mut R, d1: u64, d2: u64, k: u64) -> u64 {
+    assert!(
+        k <= d1 + d2,
+        "merged size k={k} exceeds population {d1}+{d2}"
+    );
+    let lo = k.saturating_sub(d2);
+    let hi = k.min(d1);
+    if lo == hi {
+        return lo;
+    }
+    // Mode of Eq. (2): floor((k+1)(d1+1) / (d1+d2+2)), inside the support.
+    let wide = (u128::from(k) + 1) * (u128::from(d1) + 1) / (u128::from(d1) + u128::from(d2) + 2);
+    let mode = u64::try_from(wide).unwrap_or(hi).clamp(lo, hi);
+    let p_mode = (ln_choose(d1, mode) + ln_choose(d2, k - mode) - ln_choose(d1 + d2, k)).exp();
+    // Eq. (3) and its inverse: P(l+1)/P(l) and P(l-1)/P(l).
+    let up = |l: u64| {
+        exact_f64(k - l) * exact_f64(d1 - l) / (exact_f64(l + 1) * exact_f64(d2 + l + 1 - k))
+    };
+    let down = |l: u64| {
+        exact_f64(l) * exact_f64(d2 + l - k) / (exact_f64(k - l + 1) * exact_f64(d1 - l + 1))
+    };
+    loop {
+        let mut u = rng.random::<f64>() - p_mode;
+        if u < 0.0 {
+            return mode;
+        }
+        let (mut above, mut p_above) = (mode, p_mode);
+        let (mut below, mut p_below) = (mode, p_mode);
+        while above < hi || below > lo {
+            if above < hi {
+                p_above *= up(above);
+                above += 1;
+                u -= p_above;
+                if u < 0.0 {
+                    return above;
+                }
+            }
+            if below > lo {
+                p_below *= down(below);
+                below -= 1;
+                u -= p_below;
+                if u < 0.0 {
+                    return below;
+                }
+            }
+        }
+    }
+}
+
 /// Draw a multivariate hypergeometric vector: the composition
 /// `(L_1, ..., L_m)` of a simple random sample of size `k` drawn from the
 /// union of `m` disjoint groups with sizes `populations[i]`.
 ///
 /// Generalizes Eq. (2) to `m`-way merges: `L_i` counts how many of the `k`
 /// merged elements come from group `i`. Sampled by the chain rule —
-/// `L_1 ~ HG(N_1, N_2 + ... + N_m, k)`, then `L_2` from the remainder, etc.
+/// `L_1 ~ HG(N_1, N_2 + ... + N_m, k)`, then `L_2` from the remainder, etc. —
+/// with every factor drawn by [`sample_hypergeometric`], so no pmf is built.
 ///
 /// # Panics
 /// Panics if `k` exceeds the total population.
@@ -180,24 +242,12 @@ pub fn sample_multivariate<R: Rng + ?Sized>(rng: &mut R, populations: &[u64], k:
     let mut remaining_total = total;
     let mut remaining_k = k;
     let mut out = Vec::with_capacity(populations.len());
-    for (i, &n_i) in populations.iter().enumerate() {
-        if remaining_k == 0 {
-            out.push(0);
-            continue;
-        }
+    for &n_i in populations {
         let rest = remaining_total - n_i;
-        if i + 1 == populations.len() {
-            // Last group takes the remainder.
-            out.push(remaining_k);
-            break;
-        }
-        let l = Hypergeometric::new(n_i, rest, remaining_k).sample(rng);
+        let l = sample_hypergeometric(rng, n_i, rest, remaining_k);
         out.push(l);
         remaining_k -= l;
         remaining_total = rest;
-    }
-    while out.len() < populations.len() {
-        out.push(0);
     }
     out
 }
@@ -206,7 +256,9 @@ pub fn sample_multivariate<R: Rng + ?Sized>(rng: &mut R, populations: &[u64], k:
 mod tests {
     use super::*;
     use crate::seeded_rng;
-    use crate::stats::{chi_square_p_value, chi_square_statistic, ln_choose};
+    use crate::stats::{
+        chi_square_p_value, chi_square_statistic, chi_square_two_sample, ln_choose,
+    };
 
     #[test]
     fn pmf_sums_to_one() {
@@ -450,6 +502,180 @@ mod tests {
         let stat = chi_square_statistic(&obs, &exp);
         let pv = chi_square_p_value(stat, (obs.len() - 1) as f64);
         assert!(pv > 1e-4, "joint pmf mismatch: chi2={stat:.1} p={pv:.2e}");
+    }
+
+    /// Draws of `draw` tallied over `0..=k` and chi-squared against the
+    /// Eq. (3) pmf of `HG(d1, d2, k)`, pooling cells below 5 expected.
+    fn pmf_p_value(d1: u64, d2: u64, k: u64, draws: &[u64]) -> f64 {
+        let h = Hypergeometric::new(d1, d2, k);
+        let mut counts = vec![0u64; k as usize + 1];
+        for &l in draws {
+            counts[l as usize] += 1;
+        }
+        let trials = draws.len() as f64;
+        let (mut obs, mut exp) = (Vec::new(), Vec::new());
+        let (mut po, mut pe) = (0u64, 0.0f64);
+        for l in 0..=k {
+            po += counts[l as usize];
+            pe += h.pmf(l) * trials;
+            if pe >= 5.0 {
+                obs.push(po);
+                exp.push(pe);
+                po = 0;
+                pe = 0.0;
+            }
+        }
+        if let (Some(o), Some(e)) = (obs.last_mut(), exp.last_mut()) {
+            *o += po;
+            *e += pe;
+        }
+        let stat = chi_square_statistic(&obs, &exp);
+        chi_square_p_value(stat, (obs.len() - 1) as f64)
+    }
+
+    #[test]
+    fn mode_walk_matches_eq3_pmf() {
+        let mut rng = seeded_rng(34);
+        for &(d1, d2, k) in &[
+            (30u64, 50u64, 20u64),
+            (1 << 20, 3 << 20, 512),
+            (8_192, 15 * 8_192, 512),
+            (5, 3, 6),
+            (3, 400, 40),
+            (400, 3, 40),
+        ] {
+            let draws: Vec<u64> = (0..40_000)
+                .map(|_| sample_hypergeometric(&mut rng, d1, d2, k))
+                .collect();
+            let pv = pmf_p_value(d1, d2, k, &draws);
+            assert!(pv > 1e-4, "({d1},{d2},{k}): p={pv:.2e}");
+        }
+    }
+
+    #[test]
+    fn mode_walk_degenerate_supports_draw_no_randomness() {
+        // Single-point supports return it without touching the RNG.
+        let mut rng = seeded_rng(35);
+        let before = rng.clone().random::<u64>();
+        assert_eq!(sample_hypergeometric(&mut rng, 12, 7, 0), 0);
+        assert_eq!(sample_hypergeometric(&mut rng, 6, 4, 10), 6);
+        assert_eq!(sample_hypergeometric(&mut rng, 0, 8, 3), 0);
+        assert_eq!(sample_hypergeometric(&mut rng, 8, 0, 3), 3);
+        assert_eq!(sample_hypergeometric(&mut rng, 1, 1, 2), 1);
+        assert_eq!(rng.random::<u64>(), before);
+    }
+
+    /// Sixteen groups of unequal sizes, as a 16-way merge node over
+    /// partitions of different lengths sees them.
+    fn sixteen_groups() -> Vec<u64> {
+        (0..16u64).map(|i| 2_000 + 700 * i + 37 * i * i).collect()
+    }
+
+    #[test]
+    fn multivariate_moments_for_sixteen_unequal_groups() {
+        let pops = sixteen_groups();
+        let (k, trials) = (512u64, 20_000usize);
+        let total: u64 = pops.iter().sum();
+        let mut rng = seeded_rng(36);
+        let mut sum = vec![0.0f64; pops.len()];
+        let mut sum_sq = vec![0.0f64; pops.len()];
+        for _ in 0..trials {
+            let l = sample_multivariate(&mut rng, &pops, k);
+            assert_eq!(l.iter().sum::<u64>(), k);
+            for (i, &x) in l.iter().enumerate() {
+                sum[i] += x as f64;
+                sum_sq[i] += (x * x) as f64;
+            }
+        }
+        let t = trials as f64;
+        let (k, n) = (k as f64, total as f64);
+        for (i, &n_i) in pops.iter().enumerate() {
+            let share = n_i as f64 / n;
+            let mean = k * share;
+            let var = k * share * (1.0 - share) * (n - k) / (n - 1.0);
+            let got_mean = sum[i] / t;
+            let got_var = sum_sq[i] / t - got_mean * got_mean;
+            assert!(
+                (got_mean - mean).abs() < 4.0 * (var / t).sqrt(),
+                "group {i}: mean {got_mean} vs {mean}"
+            );
+            assert!(
+                (got_var - var).abs() < 5.0 * var * (2.0 / t).sqrt(),
+                "group {i}: variance {got_var} vs {var}"
+            );
+        }
+    }
+
+    #[test]
+    fn multivariate_matches_eq3_chain_rule() {
+        // Oracle: the chain rule with every factor drawn by inversion of
+        // the full Eq. (3) pmf. Partial sums L_1 + ... + L_j follow
+        // HG(N_1 + ... + N_j, rest, k); compare them to that pmf and to
+        // the oracle's partial sums.
+        let pops = sixteen_groups();
+        let (k, trials) = (512u64, 20_000usize);
+        let total: u64 = pops.iter().sum();
+        let oracle = |rng: &mut rand::rngs::SmallRng| -> Vec<u64> {
+            let (mut rest_total, mut rest_k) = (total, k);
+            pops.iter()
+                .map(|&n_i| {
+                    let l = Hypergeometric::new(n_i, rest_total - n_i, rest_k).sample(rng);
+                    rest_total -= n_i;
+                    rest_k -= l;
+                    l
+                })
+                .collect()
+        };
+        let mut rng = seeded_rng(37);
+        let fast: Vec<Vec<u64>> = (0..trials)
+            .map(|_| sample_multivariate(&mut rng, &pops, k))
+            .collect();
+        let slow: Vec<Vec<u64>> = (0..trials).map(|_| oracle(&mut rng)).collect();
+        for j in [1usize, 4, 8, 15] {
+            let head: u64 = pops[..j].iter().sum();
+            let partial = |draws: &[Vec<u64>]| -> Vec<u64> {
+                draws.iter().map(|l| l[..j].iter().sum()).collect()
+            };
+            let (fast_j, slow_j) = (partial(&fast), partial(&slow));
+            let pv = pmf_p_value(head, total - head, k, &fast_j);
+            assert!(pv > 1e-4, "partial sum {j}: p={pv:.2e}");
+            let tally = |xs: &[u64]| {
+                let mut c = vec![0u64; k as usize + 1];
+                for &x in xs {
+                    c[x as usize] += 1;
+                }
+                c
+            };
+            let (stat, df) = chi_square_two_sample(&tally(&fast_j), &tally(&slow_j), 20);
+            let pv = chi_square_p_value(stat, df);
+            assert!(
+                pv > 1e-4,
+                "partial sum {j} vs oracle: chi2={stat:.1} p={pv:.2e}"
+            );
+        }
+    }
+
+    #[test]
+    fn multivariate_exact_small_cases() {
+        let mut rng = seeded_rng(38);
+        // One group takes everything; empty groups take nothing.
+        assert_eq!(sample_multivariate(&mut rng, &[5], 3), vec![3]);
+        assert_eq!(sample_multivariate(&mut rng, &[0, 0, 4], 4), vec![0, 0, 4]);
+        assert_eq!(sample_multivariate(&mut rng, &[2, 0, 2], 4), vec![2, 0, 2]);
+        assert_eq!(sample_multivariate(&mut rng, &[2, 0, 2], 0), vec![0, 0, 0]);
+        // Three singletons, k = 2: each of the three pairs w.p. 1/3.
+        let trials = 30_000usize;
+        let mut counts = [0u64; 3];
+        for _ in 0..trials {
+            let l = sample_multivariate(&mut rng, &[1, 1, 1], 2);
+            let missing = l.iter().position(|&x| x == 0).unwrap();
+            assert_eq!(l.iter().sum::<u64>(), 2);
+            counts[missing] += 1;
+        }
+        let exp = [trials as f64 / 3.0; 3];
+        let stat = chi_square_statistic(&counts, &exp);
+        let pv = chi_square_p_value(stat, 2.0);
+        assert!(pv > 1e-4, "chi2={stat:.2} p={pv:.2e}");
     }
 
     #[test]

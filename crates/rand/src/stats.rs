@@ -218,12 +218,66 @@ pub fn chi_square_p_value(statistic: f64, df: f64) -> f64 {
     1.0 - chi_square_cdf(statistic, df)
 }
 
+/// Two-sample (homogeneity) chi-square test of two count vectors over the
+/// same ordered cells: do `a` and `b` come from one distribution? Adjacent
+/// cells are pooled until each pooled cell holds at least `min_pooled`
+/// counts of the two samples together (a trailing short cell joins its
+/// predecessor), so expected counts stay large enough for the chi-square
+/// approximation. Returns `(statistic, degrees of freedom)`.
+///
+/// # Panics
+/// Panics if the slices differ in length or either sample is empty.
+pub fn chi_square_two_sample(a: &[u64], b: &[u64], min_pooled: u64) -> (f64, f64) {
+    assert_eq!(a.len(), b.len(), "length mismatch");
+    let (total_a, total_b) = (a.iter().sum::<u64>(), b.iter().sum::<u64>());
+    assert!(total_a > 0 && total_b > 0, "both samples must be non-empty");
+    let mut cells: Vec<(u64, u64)> = Vec::new();
+    let mut open = (0u64, 0u64);
+    for (&x, &y) in a.iter().zip(b) {
+        open = (open.0 + x, open.1 + y);
+        if open.0 + open.1 >= min_pooled {
+            cells.push(open);
+            open = (0, 0);
+        }
+    }
+    match cells.last_mut() {
+        Some(last) => *last = (last.0 + open.0, last.1 + open.1),
+        None => cells.push(open),
+    }
+    let share_a = exact_f64(total_a) / exact_f64(total_a + total_b);
+    let statistic = cells
+        .iter()
+        .map(|&(x, y)| {
+            let n = exact_f64(x + y);
+            let (ea, eb) = (n * share_a, n * (1.0 - share_a));
+            let (da, db) = (exact_f64(x) - ea, exact_f64(y) - eb);
+            da * da / ea + db * db / eb
+        })
+        .sum();
+    (statistic, exact_f64_usize(cells.len().saturating_sub(1)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} vs {b} (tol {tol})");
+    }
+
+    #[test]
+    fn two_sample_chi_square_pools_and_separates() {
+        // Identical samples: statistic 0, cells pooled to >= 20 counts.
+        let a = [5u64, 5, 5, 5, 20, 1];
+        let (stat, df) = chi_square_two_sample(&a, &a, 20);
+        assert_close(stat, 0.0, 1e-12);
+        // Pooled cells: (5+5)*2=20 | (5+5)*2=20 | 40+2 -> 3 cells, df 2.
+        assert_close(df, 2.0, 1e-12);
+        // Disjoint supports: a large statistic.
+        let (stat, df) = chi_square_two_sample(&[100, 0], &[0, 100], 1);
+        assert_close(df, 1.0, 1e-12);
+        assert_close(stat, 200.0, 1e-9);
+        assert!(chi_square_p_value(stat, df) < 1e-12);
     }
 
     #[test]

@@ -369,25 +369,22 @@ impl<T: SampleValue> Catalog<T> {
     /// partitions (the warehouse's query primitive: `S_K` for
     /// `K ⊆ {1..k}` in requirement 2 of §2).
     ///
-    /// The serial/parallel cutover is cost-based: the selection's shapes
-    /// are planned into a merge DAG ([`swh_core::planner::plan_union`])
-    /// and the planner picks the worker count whose predicted wall-clock —
-    /// critical path vs. work/`t`, plus per-worker spawn cost — beats the
-    /// serial plan. When it does, the DAG runs on the work-stealing
-    /// executor ([`swh_core::merge::merge_tree_parallel`]), whose per-node
-    /// RNG streams make the result a pure function of the selection and
-    /// the caller's RNG — never of the machine's thread count or steal
-    /// order. Otherwise the cost-aware serial plan
-    /// ([`swh_core::planner::merge_planned`]) runs, which re-streams large
-    /// exhaustive histograms as little as possible. Both produce the same
-    /// uniform distribution as a serial fold.
+    /// The selection's shapes are planned into a merge DAG
+    /// ([`swh_core::planner::plan_union`]) that the work-stealing executor
+    /// runs ([`swh_core::merge::merge_tree_parallel`]). The worker count is
+    /// cost-based: the planner picks the count whose predicted wall-clock —
+    /// critical path vs. work/`t`, plus per-worker spawn cost — is lowest,
+    /// and one worker runs the same DAG inline on the calling thread. Per-node
+    /// RNG streams make the result a pure function of the selection and the
+    /// caller's RNG — never of the machine's thread count or steal order —
+    /// with the same uniform distribution as a serial fold.
     ///
     /// With a merged-union cache attached
     /// ([`Catalog::enable_union_cache`]), the exact selection is looked up
-    /// before planning — a hit skips the merge entirely — and the merged
-    /// result is offered back under the invalidation epoch captured while
-    /// the selection was snapshotted, so a roll-in/roll-out racing the
-    /// merge can never leave a stale entry behind.
+    /// before any sample is cloned — a hit skips the merge entirely — and
+    /// the merged result is offered back under the invalidation epoch
+    /// captured while the selection was snapshotted, so a roll-in/roll-out
+    /// racing the merge can never leave a stale entry behind.
     pub fn union_sample<R: rand::Rng + ?Sized>(
         &self,
         dataset: DatasetId,
@@ -396,6 +393,8 @@ impl<T: SampleValue> Catalog<T> {
         rng: &mut R,
     ) -> Result<Sample<T>, CatalogError> {
         self.metrics.selects.inc();
+        let _prof = swh_obs::profile::enabled()
+            .then(|| swh_obs::profile::scope_rooted("catalog/union_sample"));
         let cache = self.union_cache();
         let (picked, cached_key, epoch) = {
             let map = self.inner.read().unwrap_or_else(PoisonError::into_inner);
@@ -403,24 +402,24 @@ impl<T: SampleValue> Catalog<T> {
                 .get(&dataset)
                 .ok_or(CatalogError::UnknownDataset(dataset))?;
             let mut ids = Vec::new();
-            let mut picked = Vec::new();
+            let mut selected = Vec::new();
             for (id, e) in ds.iter() {
                 if select(*id) {
                     ids.push(*id);
-                    picked.push(e.sample.clone());
+                    selected.push(&e.sample);
                 }
             }
-            if picked.is_empty() {
+            let Some(first) = selected.first() else {
                 return Err(CatalogError::EmptySelection);
-            }
+            };
             // Probe and epoch-capture happen under the read lock that
             // snapshotted the selection: any mutation serializes either
             // before (we see its invalidation) or after (it bumps the
-            // epoch and our insert is refused).
-            let n_f = picked.first().map_or(0, |s| s.policy().n_f());
+            // epoch and our insert is refused). Samples are cloned only
+            // on a miss.
             let (key, epoch) = match &cache {
                 Some(c) => {
-                    let key = CacheKey::new(dataset, ids, n_f, p_bound);
+                    let key = CacheKey::new(dataset, ids, first.policy().n_f(), p_bound);
                     if let Some(hit) = c.get(&key) {
                         return Ok(hit);
                     }
@@ -428,21 +427,19 @@ impl<T: SampleValue> Catalog<T> {
                 }
                 None => (None, 0),
             };
+            let picked: Vec<Sample<T>> = selected.into_iter().cloned().collect();
             (picked, key, epoch)
         };
-        let _prof = swh_obs::profile::enabled()
-            .then(|| swh_obs::profile::scope_rooted("catalog/union_sample"));
         let timer = swh_obs::ScopeTimer::new(&self.metrics.merge_ns);
         let shapes: Vec<NodeShape> = picked.iter().map(NodeShape::of).collect();
         let n_f = picked.first().map_or(0, |s| s.policy().n_f());
         let workers = planned_workers(&shapes, n_f, merge_threads(picked.len()));
-        let merged = if workers > 1 {
+        if workers > 1 {
             self.metrics.union_parallel.inc();
-            swh_core::merge::merge_tree_parallel(picked, p_bound, workers, rng)?
         } else {
             self.metrics.union_serial.inc();
-            swh_core::planner::merge_planned(picked, p_bound, rng)?
-        };
+        }
+        let merged = swh_core::merge::merge_tree_parallel(picked, p_bound, workers, rng)?;
         timer.stop();
         self.metrics.union_merges.inc();
         if let (Some(c), Some(key)) = (&cache, cached_key) {
@@ -710,9 +707,9 @@ mod tests {
         // Regression test for the old fixed ">= 4 partitions go parallel"
         // rule: a union of a handful of tiny samples costs a few
         // microseconds of merge work, far below the per-worker spawn cost,
-        // so the cost-based cutover must route it through the serial
-        // `merge_planned` path regardless of how many cores the machine
-        // has. The counters in a private registry pin the routing.
+        // so the cost-based cutover must run its plan on one worker,
+        // inline, regardless of how many cores the machine has. The
+        // counters in a private registry pin the routing.
         let registry = swh_obs::Registry::new();
         let cat = Catalog::with_registry(&registry);
         let mut rng = seeded_rng(41);

@@ -236,6 +236,12 @@ pub enum SplitPolicy {
 pub struct StreamRouter<T: SampleValue> {
     samplers: Vec<ConfiguredSampler<T>>,
     policy_split: SplitPolicy,
+    /// Per-sampler shares of the chunk being routed; emptied after every
+    /// chunk with their capacity kept, so routing allocates nothing per
+    /// chunk once they have grown.
+    shares: Vec<Vec<T>>,
+    /// Sampler the next round-robin element goes to (`routed mod k`).
+    next_rr: usize,
     routed: u64,
     /// Elements already flushed into the metrics counter (`routed` minus the
     /// unflushed remainder); lets element-wise and chunked feeding compose.
@@ -275,6 +281,8 @@ impl<T: SampleValue> StreamRouter<T> {
         Self {
             samplers: (0..k).map(|_| config.build(policy)).collect(),
             policy_split: split,
+            shares: (0..k).map(|_| Vec::new()).collect(),
+            next_rr: 0,
             routed: 0,
             flushed: 0,
             hasher: BuildHasherDefault::default(),
@@ -287,13 +295,23 @@ impl<T: SampleValue> StreamRouter<T> {
         self.samplers.len()
     }
 
+    /// Sampler index of the next arriving `value` (advances the round-robin
+    /// cursor).
+    fn route(&mut self, value: &T) -> usize {
+        let k = self.samplers.len();
+        match self.policy_split {
+            SplitPolicy::RoundRobin => {
+                let idx = self.next_rr;
+                self.next_rr = if idx + 1 == k { 0 } else { idx + 1 };
+                idx
+            }
+            SplitPolicy::ByValueHash => (self.hasher.hash_one(value) % k as u64) as usize,
+        }
+    }
+
     /// Route one arriving element to its sampler.
     pub fn observe<R: Rng + ?Sized>(&mut self, value: T, rng: &mut R) {
-        let k = self.samplers.len();
-        let idx = match self.policy_split {
-            SplitPolicy::RoundRobin => (self.routed % k as u64) as usize,
-            SplitPolicy::ByValueHash => (self.hasher.hash_one(&value) % k as u64) as usize,
-        };
+        let idx = self.route(&value);
         self.routed += 1;
         if self.routed - self.flushed >= ELEMENT_FLUSH {
             self.metrics.elements.add(self.routed - self.flushed);
@@ -313,21 +331,19 @@ impl<T: SampleValue> StreamRouter<T> {
     /// relative to interleaved element-wise routing, so the two feeding
     /// styles draw different (equally uniform) samples.
     pub fn observe_chunk<R: Rng + ?Sized>(&mut self, values: &[T], rng: &mut R) {
-        let k = self.samplers.len();
-        let mut shares: Vec<Vec<T>> = vec![Vec::new(); k];
+        let mut shares = std::mem::take(&mut self.shares);
         for value in values {
-            let idx = match self.policy_split {
-                SplitPolicy::RoundRobin => (self.routed % k as u64) as usize,
-                SplitPolicy::ByValueHash => (self.hasher.hash_one(value) % k as u64) as usize,
-            };
-            self.routed += 1;
+            let idx = self.route(value);
             shares[idx].push(value.clone());
         }
-        for (idx, share) in shares.iter().enumerate() {
+        self.routed += values.len() as u64;
+        for (sampler, share) in self.samplers.iter_mut().zip(&mut shares) {
             if !share.is_empty() {
-                self.samplers[idx].observe_batch(share, rng);
+                sampler.observe_batch(share, rng);
+                share.clear();
             }
         }
+        self.shares = shares;
         self.metrics.elements.add(self.routed - self.flushed);
         self.flushed = self.routed;
     }
@@ -859,6 +875,105 @@ mod tests {
             assert_eq!(s.parent_size(), 250);
             for (v, _) in s.histogram().iter() {
                 assert_eq!(*v % 4, j as u64, "value {v} routed to partition {j}");
+            }
+        }
+    }
+
+    /// Reference split: fresh share vectors per chunk and a `routed % k` per
+    /// row. `StreamRouter` must match it byte for byte.
+    struct ReferenceRouter {
+        samplers: Vec<ConfiguredSampler<u64>>,
+        split: SplitPolicy,
+        routed: u64,
+    }
+
+    impl ReferenceRouter {
+        fn new(k: usize, split: SplitPolicy) -> Self {
+            Self {
+                samplers: (0..k)
+                    .map(|_| SamplerConfig::HybridReservoir.build(policy(64)))
+                    .collect(),
+                split,
+                routed: 0,
+            }
+        }
+
+        fn index(&mut self, value: u64) -> usize {
+            let k = self.samplers.len() as u64;
+            let idx = match self.split {
+                SplitPolicy::RoundRobin => self.routed % k,
+                SplitPolicy::ByValueHash => {
+                    BuildHasherDefault::<FxHasher>::default().hash_one(value) % k
+                }
+            };
+            self.routed += 1;
+            idx as usize
+        }
+
+        fn observe(&mut self, value: u64, rng: &mut rand::rngs::SmallRng) {
+            let idx = self.index(value);
+            self.samplers[idx].observe(value, rng);
+        }
+
+        fn observe_chunk(&mut self, values: &[u64], rng: &mut rand::rngs::SmallRng) {
+            let mut shares: Vec<Vec<u64>> = vec![Vec::new(); self.samplers.len()];
+            for &v in values {
+                let idx = self.index(v);
+                shares[idx].push(v);
+            }
+            for (idx, share) in shares.iter().enumerate() {
+                if !share.is_empty() {
+                    self.samplers[idx].observe_batch(share, rng);
+                }
+            }
+        }
+
+        fn finalize(self, rng: &mut rand::rngs::SmallRng) -> Vec<Sample<u64>> {
+            self.samplers
+                .into_iter()
+                .map(|s| s.finalize_with_stats(rng).0)
+                .collect()
+        }
+    }
+
+    #[test]
+    fn router_matches_reference_split_for_any_chunking() {
+        // Chunk sizes not divisible by k, single rows between chunks, and
+        // repeated values (so the hash split sends some rows together).
+        let values: Vec<u64> = (0..3_000u64).map(|i| i * 7 % 1_500).collect();
+        let chunk_sizes = [5usize, 117, 1, 256, 13, 64];
+        for k in [1usize, 3, 4] {
+            for split in [SplitPolicy::RoundRobin, SplitPolicy::ByValueHash] {
+                let mut router: StreamRouter<u64> = StreamRouter::with_registry(
+                    &swh_obs::Registry::new(),
+                    k,
+                    SamplerConfig::HybridReservoir,
+                    policy(64),
+                    split,
+                );
+                let mut reference = ReferenceRouter::new(k, split);
+                let (mut rng_a, mut rng_b) = (seeded_rng(12), seeded_rng(12));
+                let (mut at, mut step) = (0usize, 0usize);
+                while at < values.len() {
+                    if step % 2 == 1 {
+                        router.observe(values[at], &mut rng_a);
+                        reference.observe(values[at], &mut rng_b);
+                        at += 1;
+                    } else {
+                        let end =
+                            (at + chunk_sizes[step / 2 % chunk_sizes.len()]).min(values.len());
+                        router.observe_chunk(&values[at..end], &mut rng_a);
+                        reference.observe_chunk(&values[at..end], &mut rng_b);
+                        at = end;
+                    }
+                    step += 1;
+                }
+                assert_eq!(router.observed(), values.len() as u64);
+                assert_eq!(
+                    router.finalize(&mut rng_a),
+                    reference.finalize(&mut rng_b),
+                    "k={k} split={split:?}"
+                );
             }
         }
     }

@@ -1,14 +1,15 @@
 //! Tour of the merge operators: serial fold (the paper's setup), balanced
 //! tree, alias-cached symmetric tree (§4.2), direct multiway merge
-//! (Theorem 1 generalized), and the cost-aware planner — all producing
-//! uniform samples of the same union.
+//! (Theorem 1 generalized), and the planned merge DAG on one thread — all
+//! producing uniform samples of the same union.
 //!
 //! ```sh
 //! cargo run --release --example merge_strategies
 //! ```
 
+use sample_warehouse::sampling::merge::merge_tree_parallel;
 use sample_warehouse::sampling::{
-    hr_merge_multiway, hr_merge_tree_cached, merge_all, merge_planned, merge_tree, FootprintPolicy,
+    hr_merge_multiway, hr_merge_tree_cached, merge_all, merge_tree, FootprintPolicy,
     HybridReservoir, HypergeometricCache, Sample, Sampler,
 };
 use sample_warehouse::variates::seeded_rng;
@@ -51,8 +52,8 @@ fn main() {
             Box::new(|s, rng| hr_merge_multiway(s, rng).unwrap()),
         ),
         (
-            "cost-aware plan",
-            Box::new(|s, rng| merge_planned(s, 1e-3, rng).unwrap()),
+            "planned DAG, one thread",
+            Box::new(|s, rng| merge_tree_parallel(s, 1e-3, 1, rng).unwrap()),
         ),
     ];
 
