@@ -12,12 +12,13 @@
 //!   cached-ln geometric draw per inclusion.
 //! * **union** — merging 16 and 64 partition samples with the serial fold
 //!   (`merge_all`) vs the planner-driven merge DAG on the work-stealing
-//!   pool (`merge_tree_parallel`). Three numbers per partition count: the
-//!   serial balanced-tree wall-clock (the old fixed schedule's total work),
-//!   the measured planned-DAG wall-clock on this host, and the elapsed
-//!   time of a balanced tree's level schedule on the simulated cluster
-//!   (`SWH_CPUS`, default 4) — the same methodology figures 9–11 use to
-//!   reproduce the paper's multi-machine testbed on a single-core host.
+//!   pool (`merge_tree_parallel`, over the samples by reference, as the
+//!   catalog runs it). Three numbers per partition count: the planned DAG
+//!   run inline on one thread (`plan_serial`), the measured planned-DAG
+//!   wall-clock on every host thread, and the elapsed time of a balanced
+//!   tree's level schedule on the simulated cluster (`SWH_CPUS`, default
+//!   4) — the same methodology figures 9–11 use to reproduce the paper's
+//!   multi-machine testbed on a single-core host.
 //!   The planned DAG beats the fold even on one core: alias-cached
 //!   symmetric splits and multiway fan-in do strictly less work per merged
 //!   element than the fold's chain of pairwise hypergeometric draws.
@@ -33,7 +34,7 @@
 use rand::Rng;
 use swh_bench::{section, simulated_cpus, simulated_makespan, time_secs, CsvOut, Scale};
 use swh_core::footprint::FootprintPolicy;
-use swh_core::merge::{merge, merge_all, merge_tree, merge_tree_parallel};
+use swh_core::merge::{merge, merge_all, merge_tree_parallel};
 use swh_core::sample::Sample;
 use swh_core::sampler::Sampler;
 use swh_rand::seeded_rng;
@@ -218,34 +219,33 @@ fn main() {
             let mut rng = seeded_rng(0x5E71A);
             time_secs(|| merge_all(input, 1e-3, &mut rng).expect("uniform merge")).1
         });
-        let tree_serial = best_of(reps, || {
-            let input = samples.clone();
-            let mut rng = seeded_rng(0x5E71A);
-            time_secs(|| merge_tree(input, 1e-3, &mut rng).expect("uniform merge")).1
-        });
-        let tree = best_of(reps, || {
-            let input = samples.clone();
-            let mut rng = seeded_rng(0x5E71A);
-            time_secs(|| {
-                merge_tree_parallel(input, 1e-3, threads, &mut rng).expect("uniform merge")
+        let leaves: Vec<&Sample<u64>> = samples.iter().collect();
+        let planned = |threads: usize| {
+            best_of(reps, || {
+                let mut rng = seeded_rng(0x5E71A);
+                time_secs(|| {
+                    merge_tree_parallel(&leaves, 1e-3, threads, &mut rng).expect("uniform merge")
+                })
+                .1
             })
-            .1
-        });
+        };
+        let plan_serial = planned(1);
+        let tree = planned(threads);
         let sim = best_of(reps, || {
             let input = samples.clone();
             let mut rng = seeded_rng(0x5E71A);
             tree_schedule_secs(input, cpus, &mut rng)
         });
         let speedup = serial / tree.max(1e-9);
-        let serial_tree_speedup = serial / tree_serial.max(1e-9);
+        let plan_serial_speedup = serial / plan_serial.max(1e-9);
         let sim_speedup = serial / sim.max(1e-9);
         println!(
             "{:>18} {parts:>10} {serial:>12.4} {:>8.2}",
             "serial_fold", 1.0
         );
         println!(
-            "{:>18} {parts:>10} {tree_serial:>12.4} {serial_tree_speedup:>8.2}",
-            "tree_serial"
+            "{:>18} {parts:>10} {plan_serial:>12.4} {plan_serial_speedup:>8.2}",
+            "plan_serial"
         );
         println!(
             "{:>18} {parts:>10} {tree:>12.4} {speedup:>8.2}",
@@ -257,7 +257,7 @@ fn main() {
         );
         csv.row(format!("union,HR,serial_fold,0,{parts},{serial:.6},0,1.00"));
         csv.row(format!(
-            "union,HR,tree_serial,0,{parts},{tree_serial:.6},0,{serial_tree_speedup:.2}"
+            "union,HR,plan_serial,0,{parts},{plan_serial:.6},0,{plan_serial_speedup:.2}"
         ));
         csv.row(format!(
             "union,HR,tree_parallel_wall,0,{parts},{tree:.6},0,{speedup:.2}"

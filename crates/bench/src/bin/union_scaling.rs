@@ -93,22 +93,21 @@ fn best_union_ms(catalog: &Catalog<u64>, reps: usize, seed: u64) -> (f64, u64) {
 }
 
 /// Microseconds per node of a one-node merge plan over `inputs`, run on
-/// one thread as the catalog runs it: best of 20 batches of 32 unions, each
-/// over its own copy of the inputs (copied before the batch is timed).
+/// one thread over the inputs by reference, as the catalog runs it: best of
+/// 20 batches of 32 unions.
 fn node_us(inputs: &[Sample<u64>], p_bound: f64, seed: u64) -> f64 {
     const PER_BATCH: usize = 32;
     let shapes: Vec<NodeShape> = inputs.iter().map(NodeShape::of).collect();
     let n_f = inputs.first().map_or(0, |s| s.policy().n_f());
     assert_eq!(plan_union(&shapes, n_f).merge_node_count(), 1);
+    let leaves: Vec<&Sample<u64>> = inputs.iter().collect();
     let mut rng = seeded_rng(seed);
     let mut best = f64::INFINITY;
     for _ in 0..20 {
-        let batch: Vec<Vec<Sample<u64>>> = (0..PER_BATCH).map(|_| inputs.to_vec()).collect();
         let (sizes, t) = time_secs(|| {
-            batch
-                .into_iter()
-                .map(|parts| {
-                    merge_tree_parallel(parts, p_bound, 1, &mut rng)
+            (0..PER_BATCH)
+                .map(|_| {
+                    merge_tree_parallel(&leaves, p_bound, 1, &mut rng)
                         .expect("merge")
                         .size()
                 })

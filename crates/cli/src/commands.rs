@@ -487,8 +487,9 @@ fn profile_union(args: &Args, out: &mut dyn Write) -> CmdResult {
         })
         .collect();
 
+    let leaves: Vec<&Sample<u64>> = parts.iter().collect();
     let wall = swh_obs::Stopwatch::start();
-    let merged = swh_core::merge::merge_tree_parallel(parts, p_bound, threads, &mut rng)?;
+    let merged = swh_core::merge::merge_tree_parallel(&leaves, p_bound, threads, &mut rng)?;
     let wall_ns = wall.elapsed_ns().max(1);
     profile::set_enabled(false);
 

@@ -15,6 +15,13 @@
 //! - **`workers <= 1` runs inline** on the calling thread in index order
 //!   with no locks, queues, or spawns — the serial cutover path costs
 //!   nothing over a plain fold.
+//! - **The calling thread is worker 0** of a pool: `t` workers spawn
+//!   `t - 1` scoped threads, which is what
+//!   [`crate::planner::MergePlan::best_threads`] charges for. The calling
+//!   thread also runs the root alone once the pool has finished every
+//!   other node, so the result is allocated on the thread that keeps it:
+//!   a caller that caches the result and frees it later never returns
+//!   memory to a pool thread's allocator arena.
 //! - **LPT-flavored scheduling:** initially-ready nodes are dealt to the
 //!   workers longest-first; a finished node pushes newly-ready parents to
 //!   the front of its worker's own deque (depth-first, cache-warm) while
@@ -39,7 +46,8 @@ use swh_obs::Stopwatch;
 struct IdleState {
     /// Bumped whenever new work is enqueued; sleepers re-check on change.
     generation: u64,
-    /// Set when the run is over (root finished, error, or panic).
+    /// Set when the run is over (every node below the root finished,
+    /// error, or panic).
     done: bool,
 }
 
@@ -47,7 +55,8 @@ struct DagState<'a, T, E> {
     deps: &'a [Vec<usize>],
     completed: &'a [bool],
     costs: &'a [u64],
-    /// Reverse edges: `parents[c]` lists every node depending on `c`.
+    /// Reverse edges: `parents[c]` lists every node depending on `c`,
+    /// except the root, which the calling thread runs after the pool.
     parents: Vec<Vec<usize>>,
     /// Unfinished-dependency counts (completed deps excluded).
     pending: Vec<AtomicUsize>,
@@ -59,7 +68,8 @@ struct DagState<'a, T, E> {
     wake: Condvar,
     fail: Mutex<Option<E>>,
     abort: AtomicBool,
-    /// Nodes still to execute; 0 means the run is complete.
+    /// Pool nodes (all but the root) still to execute; 0 means the pool
+    /// is done.
     remaining: AtomicUsize,
 }
 
@@ -100,7 +110,9 @@ impl<T, E> Drop for PanicRelease<'_, '_, T, E> {
 /// - `on_wait_ns` observes each worker's idle/steal wait time, for the
 ///   `swh_merge_node_wait_ns` gauge.
 ///
-/// With `workers <= 1` the DAG runs inline on the calling thread.
+/// With `workers <= 1` the DAG runs inline on the calling thread; with
+/// more, the calling thread works as worker 0 beside `workers - 1` scoped
+/// threads, then runs the root itself.
 ///
 /// # Panics
 /// Panics if the slice lengths differ, if `root` is out of range or
@@ -141,13 +153,13 @@ where
     for (i, d) in deps.iter().enumerate() {
         let mut open = 0usize;
         for &c in d {
-            if !completed[c] {
+            if !completed[c] && i != root {
                 parents[c].push(i);
                 open += 1;
             }
         }
         pending.push(AtomicUsize::new(open));
-        if !completed[i] {
+        if !completed[i] && i != root {
             to_run += 1;
         }
     }
@@ -173,7 +185,7 @@ where
     // Deal the initially-ready nodes longest-first, round-robin — the LPT
     // seed of the schedule.
     let mut ready: Vec<usize> = (0..n)
-        .filter(|&i| !completed[i] && state.pending[i].load(Ordering::Acquire) == 0)
+        .filter(|&i| !completed[i] && i != root && state.pending[i].load(Ordering::Acquire) == 0)
         .collect();
     ready.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
     for (slot, i) in ready.into_iter().enumerate() {
@@ -181,20 +193,27 @@ where
     }
 
     std::thread::scope(|scope| {
-        for w in 0..workers {
+        for w in 1..workers {
             let state = &state;
             scope.spawn(move || worker_loop(state, w, exec, on_wait_ns));
         }
+        worker_loop(&state, 0, exec, on_wait_ns);
     });
 
     if let Some(e) = lock(&state.fail).take() {
         return Err(e);
     }
-    let result = lock(&state.slots[root]).take();
-    match result {
-        Some(v) => Ok(v),
-        None => panic!("executor finished without a root result"),
+    let mut inputs = Vec::with_capacity(deps[root].len());
+    for &c in &deps[root] {
+        inputs.push(if completed[c] {
+            None
+        } else {
+            let taken = lock(&state.slots[c]).take();
+            assert!(taken.is_some(), "executor finished without node {c}");
+            taken
+        });
     }
+    exec(root, inputs)
 }
 
 fn run_serial<T, E, F>(

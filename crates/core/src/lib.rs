@@ -63,9 +63,7 @@ pub use hybrid_bernoulli::HybridBernoulli;
 pub use hybrid_reservoir::HybridReservoir;
 pub use lineage::{LineageEvent, PurgeKind};
 pub use merge::{
-    hb_merge, hr_merge, hr_merge_cached, hr_merge_multiway, hr_merge_multiway_borrowed,
-    hr_merge_tree_cached, merge, merge_all, merge_all_borrowed, merge_borrowed, merge_tree,
-    HypergeometricCache, MergeError,
+    hb_merge, hr_merge, hr_merge_multiway, merge, merge_all, HypergeometricCache, MergeError,
 };
 pub use planner::{plan_union, MergePlan, NodeShape, PlanNode, PlanOp, ShapeKind};
 pub use qbound::{q_approx, q_exact};

@@ -49,9 +49,10 @@ pub fn pair_cost(size_a: u64, exhaustive_a: bool, size_b: u64, exhaustive_b: boo
 /// relative magnitudes matter for scheduling decisions.
 pub const FALLBACK_NS_PER_ELEMENT: f64 = 40.0;
 
-/// Estimated one-off cost (ns) of spawning and parking one pool worker.
-/// Charged per extra worker in [`MergePlan::best_threads`] so tiny unions
-/// never pay thread-spawn latency for microseconds of merge work.
+/// Estimated one-off cost (ns) of spawning and joining one pool worker.
+/// Charged per extra worker in [`MergePlan::best_threads`] (the calling
+/// thread is the first worker) so tiny unions never pay thread-spawn
+/// latency for microseconds of merge work.
 pub const WORKER_SPAWN_NS: f64 = 60_000.0;
 
 /// Largest fan-in [`plan_union`] gives a multiway node, hypergeometric or
@@ -60,10 +61,9 @@ pub const WORKER_SPAWN_NS: f64 = 60_000.0;
 /// serialization point).
 pub const MAX_MULTIWAY_FAN_IN: usize = 16;
 
-/// Statistical provenance class of a (planned) sample, refining
-/// [`Skeleton`]'s boolean: Bernoulli-phase hybrids merge by rate
-/// equalization, so the planner must not route them through the
-/// reservoir-only alias-cached path.
+/// Statistical provenance class of a (planned) sample: Bernoulli-phase
+/// hybrids merge by rate equalization, so the planner must not route them
+/// through the reservoir-only alias-cached path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShapeKind {
     /// Exhaustive histogram of its partition.
@@ -625,7 +625,8 @@ mod tests {
             samples.push(HybridReservoir::new(policy(64)).sample_batch(lo..lo + 2_000, &mut rng));
         }
         let total: u64 = samples.iter().map(Sample::parent_size).sum();
-        let m = merge_tree_parallel(samples, 1e-3, 1, &mut rng).unwrap();
+        let refs: Vec<&Sample<u64>> = samples.iter().collect();
+        let m = merge_tree_parallel(&refs, 1e-3, 1, &mut rng).unwrap();
         assert_eq!(m.parent_size(), total);
         assert!(m.size() <= 64);
     }
@@ -636,12 +637,13 @@ mod tests {
         let (trials, n_f) = (15_000usize, 8u64);
         let mut incl = vec![0u64; 60];
         for _ in 0..trials {
-            let samples = vec![
+            let samples = [
                 HybridReservoir::new(policy(n_f)).sample_batch(0..20u64, &mut rng),
                 HybridReservoir::new(policy(n_f)).sample_batch(20..40u64, &mut rng),
                 HybridReservoir::new(policy(n_f)).sample_batch(40..60u64, &mut rng),
             ];
-            let m = merge_tree_parallel(samples, 1e-3, 1, &mut rng).unwrap();
+            let refs: Vec<&Sample<u64>> = samples.iter().collect();
+            let m = merge_tree_parallel(&refs, 1e-3, 1, &mut rng).unwrap();
             for (v, _) in m.histogram().iter() {
                 incl[*v as usize] += 1;
             }
@@ -661,9 +663,8 @@ mod tests {
     fn single_sample_passthrough() {
         let mut rng = seeded_rng(3);
         let s = HybridReservoir::new(policy(16)).sample_batch(0..100u64, &mut rng);
-        let expected = s.clone();
-        let m = merge_tree_parallel(vec![s], 1e-3, 1, &mut rng).unwrap();
-        assert_eq!(m, expected);
+        let m = merge_tree_parallel(&[&s], 1e-3, 1, &mut rng).unwrap();
+        assert_eq!(m, s);
     }
 
     fn reservoir_shape(size: u64) -> NodeShape {

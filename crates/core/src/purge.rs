@@ -260,25 +260,6 @@ fn reservoir_subsample_fig4<T: SampleValue, R: Rng + ?Sized>(
     out
 }
 
-/// [`purge_bernoulli`] against a borrowed histogram: take a `Bern(q)`
-/// subsample without mutating `hist`, cloning only surviving values (see
-/// [`bernoulli_subsample_into`]).
-///
-/// # Panics
-/// Panics unless `0 < q ≤ 1`.
-pub fn bernoulli_subsample_ref<T: SampleValue, R: Rng + ?Sized>(
-    hist: &CompactHistogram<T>,
-    q: f64,
-    rng: &mut R,
-) -> CompactHistogram<T> {
-    if q == 1.0 {
-        return hist.clone();
-    }
-    let mut out = CompactHistogram::new();
-    bernoulli_subsample_into(hist, q, &mut out, rng);
-    out
-}
-
 /// Add a `Bern(q)` subsample of `hist` to `out`, cloning only surviving
 /// values, and return how many elements survived. Instead of one binomial
 /// draw per pair (Fig. 3), it walks the implicit bag with geometric gaps
@@ -738,25 +719,6 @@ mod tests {
             let pv = chi_square_p_value(stat, counts.len() as f64);
             assert!(pv > 1e-4, "q={q}: chi2={stat:.1} p={pv:.2e}");
         }
-    }
-
-    #[test]
-    fn bernoulli_subsample_ref_thins_at_rate_q() {
-        let mut rng = seeded_rng(23);
-        let q = 0.3;
-        let trials = 2_000;
-        let mut h = CompactHistogram::new();
-        h.insert_count(1u64, 50);
-        h.insert_count(2u64, 30);
-        h.insert_count(3u64, 20);
-        let mut kept = 0u64;
-        for _ in 0..trials {
-            kept += bernoulli_subsample_ref(&h, q, &mut rng).total();
-        }
-        let mean = kept as f64 / trials as f64;
-        assert!((mean - 30.0).abs() < 0.6, "mean {mean} vs 30");
-        // Rate 1 is a plain clone.
-        assert_eq!(bernoulli_subsample_ref(&h, 1.0, &mut rng), h);
     }
 
     use crate::histogram::CompactHistogram;

@@ -1,12 +1,13 @@
 //! Schedule-independence contract of the planner-driven parallel union:
 //! for a fixed caller RNG state the union result is **byte-identical**
 //! across thread counts (`1, 2, 8, 64`) and across repeated runs (whose
-//! steal orders differ), for both the owned and borrowed entry points and
-//! for all-Bernoulli plans of multiway `HBMerge` nodes — and a
-//! planner-driven multiway union remains statistically uniform.
+//! steal orders differ), for mixed plans and for all-Bernoulli plans of
+//! multiway `HBMerge` nodes, through the one entry point over borrowed
+//! samples — and a planner-driven multiway union remains statistically
+//! uniform.
 
 use std::collections::BTreeSet;
-use swh_core::merge::{merge_tree_parallel, merge_tree_parallel_borrowed};
+use swh_core::merge::merge_tree_parallel;
 use swh_core::planner::{plan_union, NodeShape, PlanOp};
 use swh_core::{
     CompactHistogram, FootprintPolicy, HybridBernoulli, HybridReservoir, Sample, SampleKind,
@@ -78,38 +79,32 @@ fn mixed_plan_exercises_every_operator() {
     }
 }
 
-#[test]
-fn union_is_byte_identical_across_thread_counts_and_runs() {
-    let parts = mixed_partitions(64);
-    let run = |threads: usize| {
-        let mut rng = seeded_rng(911);
-        merge_tree_parallel(parts.clone(), 1e-3, threads, &mut rng).expect("union merges")
-    };
-    let reference = run(1);
-    for threads in [2usize, 8, 64] {
-        assert_eq!(run(threads), reference, "threads={threads} diverged");
-    }
-    // Steal orders differ run to run; results must not.
-    for rep in 0..5 {
-        assert_eq!(run(8), reference, "repetition {rep} diverged");
-    }
+/// The byte-identity contract, fully: digest-free, every field and the
+/// lineage compared.
+fn assert_identical(a: &Sample<u64>, b: &Sample<u64>, what: &str) {
+    assert_eq!(a, b, "{what}");
+    assert_eq!(a.lineage(), b.lineage(), "{what}: lineage");
 }
 
 #[test]
-fn borrowed_union_is_byte_identical_across_thread_counts_and_runs() {
+fn union_is_byte_identical_across_thread_counts_and_runs() {
     let parts = mixed_partitions(64);
-    let refs: Vec<&Sample<u64>> = parts.iter().collect();
+    let snapshot = parts.clone();
+    let leaves: Vec<&Sample<u64>> = parts.iter().collect();
     let run = |threads: usize| {
-        let mut rng = seeded_rng(417);
-        merge_tree_parallel_borrowed(&refs, 1e-3, threads, &mut rng).expect("union merges")
+        let mut rng = seeded_rng(911);
+        merge_tree_parallel(&leaves, 1e-3, threads, &mut rng).expect("union merges")
     };
     let reference = run(1);
     for threads in [2usize, 8, 64] {
-        assert_eq!(run(threads), reference, "threads={threads} diverged");
+        assert_identical(&run(threads), &reference, &format!("threads={threads}"));
     }
+    // Steal orders differ run to run; results must not.
     for rep in 0..5 {
-        assert_eq!(run(8), reference, "repetition {rep} diverged");
+        assert_identical(&run(8), &reference, &format!("repetition {rep}"));
     }
+    // The leaves are read in place, never consumed or altered.
+    assert_eq!(parts, snapshot);
 }
 
 /// Bernoulli-phase hybrids over disjoint ranges: their union plans to a
@@ -139,31 +134,29 @@ fn all_bernoulli_union_is_byte_identical_across_thread_counts() {
         .iter()
         .filter(|n| !matches!(n.op, PlanOp::Leaf { .. }))
         .all(|n| matches!(n.op, PlanOp::HbMultiway { .. })));
-    let refs: Vec<&Sample<u64>> = parts.iter().collect();
+    let leaves: Vec<&Sample<u64>> = parts.iter().collect();
     // p_bound 0.4 makes the nodes overflow often enough that some upper
     // node receives a reservoir and takes the hypergeometric rule.
     for p_bound in [1e-3, 0.4] {
         let run = |threads: usize| {
             let mut rng = seeded_rng(2024);
-            merge_tree_parallel(parts.clone(), p_bound, threads, &mut rng).expect("union merges")
+            merge_tree_parallel(&leaves, p_bound, threads, &mut rng).expect("union merges")
         };
-        let run_borrowed = |threads: usize| {
-            let mut rng = seeded_rng(2025);
-            merge_tree_parallel_borrowed(&refs, p_bound, threads, &mut rng).expect("union merges")
-        };
-        let (reference, borrowed) = (run(1), run_borrowed(1));
+        let reference = run(1);
         assert_eq!(reference.parent_size(), 40 * 4_000);
-        assert_eq!(borrowed.parent_size(), 40 * 4_000);
-        for threads in [2usize, 8] {
-            assert_eq!(run(threads), reference, "p={p_bound} threads={threads}");
-            assert_eq!(
-                run_borrowed(threads),
-                borrowed,
-                "borrowed p={p_bound} threads={threads}"
+        for threads in [2usize, 8, 64] {
+            assert_identical(
+                &run(threads),
+                &reference,
+                &format!("p={p_bound} threads={threads}"),
             );
         }
         for rep in 0..3 {
-            assert_eq!(run(8), reference, "p={p_bound} repetition {rep}");
+            assert_identical(
+                &run(8),
+                &reference,
+                &format!("p={p_bound} repetition {rep}"),
+            );
         }
     }
 }
@@ -200,7 +193,9 @@ fn planner_driven_multiway_union_is_uniform() {
     let mut incl = vec![0u64; 40];
     let mut rng = seeded_rng(7);
     for _ in 0..trials {
-        let m = merge_tree_parallel(build(), 1e-3, 2, &mut rng).expect("union merges");
+        let parts = build();
+        let leaves: Vec<&Sample<u64>> = parts.iter().collect();
+        let m = merge_tree_parallel(&leaves, 1e-3, 2, &mut rng).expect("union merges");
         assert_eq!(m.size(), 6, "multiway k = min sample size");
         assert_eq!(m.parent_size(), 40);
         for (v, c) in m.histogram().iter() {

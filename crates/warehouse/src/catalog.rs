@@ -42,8 +42,8 @@ fn planned_workers(shapes: &[NodeShape], n_f: u64, budget: usize) -> usize {
 /// A rolled-in partition sample plus bookkeeping.
 #[derive(Debug, Clone)]
 pub struct PartitionEntry<T: SampleValue> {
-    /// The uniform partition sample.
-    pub sample: Sample<T>,
+    /// The uniform partition sample, shared with every reader that holds it.
+    pub sample: Arc<Sample<T>>,
     /// Monotonic roll-in sequence number (warehouse-wide).
     pub rolled_in_at: u64,
 }
@@ -85,10 +85,11 @@ impl From<MergeError> for CatalogError {
 
 /// Concurrent registry mapping `(dataset, partition)` to samples.
 ///
-/// Reads (selection, merging into query samples) take a shared lock;
-/// roll-in/roll-out take the exclusive lock briefly. Merging clones the
-/// selected samples out of the catalog so the lock is never held across the
-/// merge computation.
+/// Samples are stored as `Arc<Sample<T>>` and handed out shared: a reader
+/// never copies one. Reads take the shared lock only to snapshot what they
+/// need (the selected `Arc`s); roll-in/roll-out take the exclusive lock
+/// briefly. No lock is held across a merge, and a sample rolled out while
+/// a union still reads it lives until that union drops its `Arc`.
 ///
 /// ```
 /// use swh_core::{FootprintPolicy, HybridReservoir, Sampler};
@@ -200,12 +201,11 @@ impl<T: SampleValue> Catalog<T> {
         }
     }
 
-    /// Attach a merged-union cache: [`Catalog::union_sample`] and
-    /// [`Catalog::union_sample_borrowed`] consult it before planning a
-    /// merge, and every roll-in/roll-out (including compactions, which are
-    /// roll-outs plus a roll-in) invalidates the dataset's entries. Off by
-    /// default — a cache is opt-in because it trades memory for repeat-
-    /// union latency.
+    /// Attach a merged-union cache: [`Catalog::union_sample`] consults it
+    /// before planning a merge, and every roll-in/roll-out (including
+    /// compactions, which are roll-outs plus a roll-in) invalidates the
+    /// dataset's entries. Off by default — a cache is opt-in because it
+    /// trades memory for repeat-union latency.
     pub fn enable_union_cache(&self, cache: Arc<UnionCache<T>>) {
         *self.cache.write().unwrap_or_else(PoisonError::into_inner) = Some(cache);
     }
@@ -239,7 +239,7 @@ impl<T: SampleValue> Catalog<T> {
         ds.insert(
             key.partition,
             PartitionEntry {
-                sample,
+                sample: Arc::new(sample),
                 rolled_in_at: *seq,
             },
         );
@@ -282,13 +282,13 @@ impl<T: SampleValue> Catalog<T> {
         Ok(entry)
     }
 
-    /// Clone one partition's sample out of the catalog.
-    pub fn get(&self, key: PartitionKey) -> Result<Sample<T>, CatalogError> {
+    /// One partition's sample, shared with the catalog.
+    pub fn get(&self, key: PartitionKey) -> Result<Arc<Sample<T>>, CatalogError> {
         self.metrics.gets.inc();
         let map = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         map.get(&key.dataset)
             .and_then(|ds| ds.get(&key.partition))
-            .map(|e| e.sample.clone())
+            .map(|e| Arc::clone(&e.sample))
             .ok_or(CatalogError::UnknownPartition(key))
     }
 
@@ -342,56 +342,38 @@ impl<T: SampleValue> Catalog<T> {
         self.len() == 0
     }
 
-    /// Clone the samples of the selected partitions (all partitions for
-    /// which `select` returns true), in partition order.
-    pub fn select(
-        &self,
-        dataset: DatasetId,
-        mut select: impl FnMut(PartitionId) -> bool,
-    ) -> Result<Vec<Sample<T>>, CatalogError> {
-        self.metrics.selects.inc();
-        let map = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        let ds = map
-            .get(&dataset)
-            .ok_or(CatalogError::UnknownDataset(dataset))?;
-        let picked: Vec<Sample<T>> = ds
-            .iter()
-            .filter(|(id, _)| select(**id))
-            .map(|(_, e)| e.sample.clone())
-            .collect();
-        if picked.is_empty() {
-            return Err(CatalogError::EmptySelection);
-        }
-        Ok(picked)
-    }
-
     /// Produce a single uniform sample of the union of the selected
     /// partitions (the warehouse's query primitive: `S_K` for
-    /// `K ⊆ {1..k}` in requirement 2 of §2).
+    /// `K ⊆ {1..k}` in requirement 2 of §2), shared as an `Arc`.
     ///
-    /// The selection's shapes are planned into a merge DAG
-    /// ([`swh_core::planner::plan_union`]) that the work-stealing executor
-    /// runs ([`swh_core::merge::merge_tree_parallel`]). The worker count is
-    /// cost-based: the planner picks the count whose predicted wall-clock —
-    /// critical path vs. work/`t`, plus per-worker spawn cost — is lowest,
-    /// and one worker runs the same DAG inline on the calling thread. Per-node
-    /// RNG streams make the result a pure function of the selection and the
-    /// caller's RNG — never of the machine's thread count or steal order —
-    /// with the same uniform distribution as a serial fold.
+    /// Under the read lock it only evaluates `select` over the dataset's
+    /// partitions, probes the cache and, on a miss, takes the selected
+    /// samples' `Arc`s. It then releases the lock, plans the merge DAG over the borrowed
+    /// samples ([`swh_core::planner::plan_union`]) and runs it on the
+    /// work-stealing executor ([`swh_core::merge::merge_tree_parallel`]).
+    /// The worker count is cost-based: the planner picks the count whose
+    /// predicted wall-clock — critical path vs. work/`t`, plus per-worker
+    /// spawn cost — is lowest, and one worker runs the DAG inline on the
+    /// calling thread. Per-node RNG streams make the result a pure function
+    /// of the selection and the caller's RNG — never of the machine's
+    /// thread count or steal order — with the same uniform distribution as
+    /// a serial fold. A one-partition selection returns that partition's
+    /// own `Arc`, after drawing the one base seed a merge would draw.
     ///
-    /// With a merged-union cache attached
-    /// ([`Catalog::enable_union_cache`]), the exact selection is looked up
-    /// before any sample is cloned — a hit skips the merge entirely — and
-    /// the merged result is offered back under the invalidation epoch
-    /// captured while the selection was snapshotted, so a roll-in/roll-out
-    /// racing the merge can never leave a stale entry behind.
+    /// With a merged-union cache attached ([`Catalog::enable_union_cache`]),
+    /// a hit returns the cached `Arc` itself: the same realization as the
+    /// first computation, drawing nothing from `rng`, so repeated queries
+    /// over one selection are perfectly correlated until a roll-in or
+    /// roll-out invalidates it. A miss offers its result back under the
+    /// invalidation epoch captured while the selection was snapshotted, so
+    /// a roll-in/roll-out racing the merge never leaves a stale entry.
     pub fn union_sample<R: rand::Rng + ?Sized>(
         &self,
         dataset: DatasetId,
         mut select: impl FnMut(PartitionId) -> bool,
         p_bound: f64,
         rng: &mut R,
-    ) -> Result<Sample<T>, CatalogError> {
+    ) -> Result<Arc<Sample<T>>, CatalogError> {
         self.metrics.selects.inc();
         let _prof = swh_obs::profile::enabled()
             .then(|| swh_obs::profile::scope_rooted("catalog/union_sample"));
@@ -415,8 +397,8 @@ impl<T: SampleValue> Catalog<T> {
             // Probe and epoch-capture happen under the read lock that
             // snapshotted the selection: any mutation serializes either
             // before (we see its invalidation) or after (it bumps the
-            // epoch and our insert is refused). Samples are cloned only
-            // on a miss.
+            // epoch and our insert is refused). The `Arc`s are taken only
+            // on a miss, so a hit touches no sample's reference count.
             let (key, epoch) = match &cache {
                 Some(c) => {
                     let key = CacheKey::new(dataset, ids, first.policy().n_f(), p_bound);
@@ -427,95 +409,35 @@ impl<T: SampleValue> Catalog<T> {
                 }
                 None => (None, 0),
             };
-            let picked: Vec<Sample<T>> = selected.into_iter().cloned().collect();
+            let picked: Vec<Arc<Sample<T>>> = selected.into_iter().map(Arc::clone).collect();
             (picked, key, epoch)
         };
         let timer = swh_obs::ScopeTimer::new(&self.metrics.merge_ns);
-        let shapes: Vec<NodeShape> = picked.iter().map(NodeShape::of).collect();
-        let n_f = picked.first().map_or(0, |s| s.policy().n_f());
-        let workers = planned_workers(&shapes, n_f, merge_threads(picked.len()));
+        let leaves: Vec<&Sample<T>> = picked.iter().map(Arc::as_ref).collect();
+        let shapes: Vec<NodeShape> = leaves.iter().map(|s| NodeShape::of(s)).collect();
+        let n_f = leaves.first().map_or(0, |s| s.policy().n_f());
+        let workers = planned_workers(&shapes, n_f, merge_threads(leaves.len()));
         if workers > 1 {
             self.metrics.union_parallel.inc();
         } else {
             self.metrics.union_serial.inc();
         }
-        let merged = swh_core::merge::merge_tree_parallel(picked, p_bound, workers, rng)?;
-        timer.stop();
-        self.metrics.union_merges.inc();
-        if let (Some(c), Some(key)) = (&cache, cached_key) {
-            c.insert(key, merged.clone(), epoch);
-        }
-        Ok(merged)
-    }
-
-    /// [`Catalog::union_sample`] without cloning the selected samples out
-    /// of the catalog: the merge runs by reference under the shared read
-    /// lock, cloning only the elements that survive into the result. The
-    /// tradeoff is inverted relative to `union_sample`: zero up-front
-    /// copying, but writers (roll-in/roll-out) block for the duration of
-    /// the merge — prefer it for read-mostly catalogs and frequent queries
-    /// over large samples.
-    ///
-    /// Like [`Catalog::union_sample`], the cutover is cost-based: when the
-    /// planner predicts a parallel win the DAG runs on the work-stealing
-    /// executor ([`swh_core::merge::merge_tree_parallel_borrowed`], hence
-    /// the `T: Sync` bound — pool workers share the borrowed samples);
-    /// otherwise the selection folds serially
-    /// ([`swh_core::merge::merge_all_borrowed`]).
-    pub fn union_sample_borrowed<R: rand::Rng + ?Sized>(
-        &self,
-        dataset: DatasetId,
-        mut select: impl FnMut(PartitionId) -> bool,
-        p_bound: f64,
-        rng: &mut R,
-    ) -> Result<Sample<T>, CatalogError>
-    where
-        T: Sync,
-    {
-        self.metrics.selects.inc();
-        let cache = self.union_cache();
-        let map = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        let ds = map
-            .get(&dataset)
-            .ok_or(CatalogError::UnknownDataset(dataset))?;
-        let mut ids = Vec::new();
-        let mut picked: Vec<&Sample<T>> = Vec::new();
-        for (id, e) in ds.iter() {
-            if select(*id) {
-                ids.push(*id);
-                picked.push(&e.sample);
+        let merged = match picked.as_slice() {
+            [only] => {
+                // `merge_tree_parallel` draws one base seed per union, a
+                // one-input union included; draw it here too so the
+                // caller's RNG advances exactly as it would for a merge.
+                let _base: u64 = rng.random();
+                Arc::clone(only)
             }
-        }
-        if picked.is_empty() {
-            return Err(CatalogError::EmptySelection);
-        }
-        let n_f = picked.first().map_or(0, |s| s.policy().n_f());
-        let (cached_key, epoch) = match &cache {
-            Some(c) => {
-                let key = CacheKey::new(dataset, ids, n_f, p_bound);
-                if let Some(hit) = c.get(&key) {
-                    return Ok(hit);
-                }
-                (Some(key), c.epoch(dataset))
-            }
-            None => (None, 0),
-        };
-        let _prof = swh_obs::profile::enabled()
-            .then(|| swh_obs::profile::scope_rooted("catalog/union_sample_borrowed"));
-        let timer = swh_obs::ScopeTimer::new(&self.metrics.merge_ns);
-        let shapes: Vec<NodeShape> = picked.iter().map(|s| NodeShape::of(s)).collect();
-        let workers = planned_workers(&shapes, n_f, merge_threads(picked.len()));
-        let merged = if workers > 1 {
-            self.metrics.union_parallel.inc();
-            swh_core::merge::merge_tree_parallel_borrowed(&picked, p_bound, workers, rng)?
-        } else {
-            self.metrics.union_serial.inc();
-            swh_core::merge::merge_all_borrowed(picked, p_bound, rng)?
+            _ => Arc::new(swh_core::merge::merge_tree_parallel(
+                &leaves, p_bound, workers, rng,
+            )?),
         };
         timer.stop();
         self.metrics.union_merges.inc();
         if let (Some(c), Some(key)) = (&cache, cached_key) {
-            c.insert(key, merged.clone(), epoch);
+            c.insert(key, Arc::clone(&merged), epoch);
         }
         Ok(merged)
     }
@@ -530,7 +452,7 @@ impl<T: SampleValue> Catalog<T> {
         seqs: std::ops::RangeInclusive<u64>,
         p_bound: f64,
         rng: &mut R,
-    ) -> Result<Sample<T>, CatalogError> {
+    ) -> Result<Arc<Sample<T>>, CatalogError> {
         self.union_sample(
             dataset,
             |p| streams.contains(&p.stream) && seqs.contains(&p.seq),
@@ -612,22 +534,32 @@ mod tests {
     }
 
     #[test]
-    fn union_sample_borrowed_matches_owned_contract() {
+    fn union_sample_shares_resident_samples() {
         let mut rng = seeded_rng(7);
         let cat = Catalog::new();
         for d in 0..7u64 {
             cat.roll_in(key(1, d), sample(d * 1000..(d + 1) * 1000, &mut rng))
                 .unwrap();
         }
+        let before = cat.get(key(1, 3)).unwrap();
+        let snapshot = Sample::clone(&before);
         let weekly = cat
-            .union_sample_borrowed(DatasetId(1), |_| true, 1e-3, &mut rng)
+            .union_sample(DatasetId(1), |_| true, 1e-3, &mut rng)
             .unwrap();
         assert_eq!(weekly.parent_size(), 7000);
         assert!(weekly.size() <= 32);
-        // The catalog's resident samples are untouched by the query.
-        assert_eq!(cat.get(key(1, 3)).unwrap().parent_size(), 1000);
+        // The query read the resident samples in place: same allocation,
+        // same contents.
+        let after = cat.get(key(1, 3)).unwrap();
+        assert!(Arc::ptr_eq(&before, &after));
+        assert_eq!(*after, snapshot);
+        // A one-partition union is the resident sample itself.
+        let one = cat
+            .union_sample(DatasetId(1), |p| p.seq == 3, 1e-3, &mut rng)
+            .unwrap();
+        assert!(Arc::ptr_eq(&one, &after));
         let err = cat
-            .union_sample_borrowed(DatasetId(1), |_| false, 1e-3, &mut rng)
+            .union_sample(DatasetId(1), |_| false, 1e-3, &mut rng)
             .unwrap_err();
         assert_eq!(err, CatalogError::EmptySelection);
     }
@@ -692,14 +624,6 @@ mod tests {
         assert_eq!(a, run());
         assert_eq!(a.parent_size(), 8_000);
         assert!(a.size() <= 32);
-        let run_borrowed = || {
-            let mut rng = seeded_rng(62);
-            cat.union_sample_borrowed(DatasetId(1), |_| true, 1e-3, &mut rng)
-                .unwrap()
-        };
-        let b = run_borrowed();
-        assert_eq!(b, run_borrowed());
-        assert_eq!(b.parent_size(), 8_000);
     }
 
     #[test]
@@ -722,9 +646,9 @@ mod tests {
             .unwrap();
         assert_eq!(s.parent_size(), 600);
         let b = cat
-            .union_sample_borrowed(DatasetId(1), |_| true, 1e-3, &mut rng)
+            .union_sample(DatasetId(1), |p| p.seq < 5, 1e-3, &mut rng)
             .unwrap();
-        assert_eq!(b.parent_size(), 600);
+        assert_eq!(b.parent_size(), 500);
         assert_eq!(cat.metrics.union_serial.get(), 2);
         assert_eq!(cat.metrics.union_parallel.get(), 0);
         assert_eq!(cat.metrics.union_merges.get(), 2);
@@ -748,7 +672,10 @@ mod tests {
         let b = cat
             .union_sample(DatasetId(1), |_| true, 1e-3, &mut rng)
             .unwrap();
-        assert_eq!(a, b, "hit must return the cached merge byte-identically");
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "hit must return the cached merge itself"
+        );
         assert_eq!(
             cat.metrics.union_merges.get(),
             merges_after_first,
@@ -763,11 +690,80 @@ mod tests {
             .union_sample(DatasetId(1), |_| true, 1e-3, &mut rng)
             .unwrap();
         assert_eq!(c.parent_size(), 700);
-        // The borrowed path shares the cache: same selection now hits.
-        let d = cat
-            .union_sample_borrowed(DatasetId(1), |_| true, 1e-3, &mut rng)
+    }
+
+    #[test]
+    fn cache_hit_shares_the_allocation_and_draws_nothing() {
+        let cat = Catalog::with_registry(&swh_obs::Registry::new());
+        cat.enable_union_cache(Arc::new(UnionCache::new(1 << 20)));
+        let mut rng = seeded_rng(78);
+        for d in 0..6u64 {
+            cat.roll_in(key(1, d), sample(d * 100..(d + 1) * 100, &mut rng))
+                .unwrap();
+        }
+        let first = cat
+            .union_sample(DatasetId(1), |p| p.seq >= 2, 1e-3, &mut rng)
             .unwrap();
-        assert_eq!(c, d);
+        let before = rng.clone();
+        let hit = cat
+            .union_sample(DatasetId(1), |p| p.seq >= 2, 1e-3, &mut rng)
+            .unwrap();
+        assert!(Arc::ptr_eq(&first, &hit));
+        assert_eq!(rng, before, "a hit must not consume the caller's RNG");
+    }
+
+    /// Caller RNG that stops at `gate` before its first draw and then
+    /// waits there again: a union draws only after its snapshot, so the
+    /// two meetings bracket whatever the other thread does in between.
+    struct GatedRng<'a> {
+        inner: rand::rngs::SmallRng,
+        gate: Option<&'a std::sync::Barrier>,
+    }
+
+    impl rand::RngCore for GatedRng<'_> {
+        fn next_u64(&mut self) -> u64 {
+            if let Some(gate) = self.gate.take() {
+                gate.wait();
+                gate.wait();
+            }
+            self.inner.next_u64()
+        }
+    }
+
+    #[test]
+    fn roll_out_racing_a_union_leaves_no_stale_entry() {
+        let cat = Catalog::with_registry(&swh_obs::Registry::new());
+        let cache = Arc::new(UnionCache::new(1 << 20));
+        cat.enable_union_cache(Arc::clone(&cache));
+        let mut rng = seeded_rng(79);
+        for d in 0..8u64 {
+            cat.roll_in(key(1, d), sample(d * 100..(d + 1) * 100, &mut rng))
+                .unwrap();
+        }
+        let gate = std::sync::Barrier::new(2);
+        let merged = std::thread::scope(|scope| {
+            let union = scope.spawn(|| {
+                let mut rng = GatedRng {
+                    inner: seeded_rng(80),
+                    gate: Some(&gate),
+                };
+                cat.union_sample(DatasetId(1), |_| true, 1e-3, &mut rng)
+            });
+            // The union has snapshotted its Arcs and is about to merge:
+            // roll a selected partition out, then let it go on.
+            gate.wait();
+            let gone = cat.roll_out(key(1, 5)).unwrap();
+            assert_eq!(gone.sample.parent_size(), 100);
+            gate.wait();
+            union.join().unwrap()
+        })
+        .unwrap();
+        assert_eq!(merged.parent_size(), 800, "the snapshot's parent size");
+        assert!(cache.is_empty(), "a merge over a stale snapshot was cached");
+        let now = cat
+            .union_sample(DatasetId(1), |_| true, 1e-3, &mut rng)
+            .unwrap();
+        assert_eq!(now.parent_size(), 700);
     }
 
     #[test]

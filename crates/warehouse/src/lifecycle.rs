@@ -20,7 +20,8 @@
 //! * **Merged-union caching** ([`UnionCache`]): repeated unions of the same
 //!   partition span are answered from a size-bounded cache consulted by
 //!   [`crate::Catalog::union_sample`] before planning, invalidated by
-//!   roll-in/roll-out/compaction.
+//!   roll-in/roll-out/compaction. Entries are shared `Arc`s: a hit hands
+//!   out the cached allocation itself, the same realization every time.
 //! * **Retention** ([`LifecycleManager::enforce_retention`]): per-dataset
 //!   expiry policies (age and footprint budget) retire the oldest
 //!   partitions during the compactor's sweep.
@@ -259,7 +260,7 @@ impl CacheKey {
 
 #[derive(Debug)]
 struct CacheEntry<T: SampleValue> {
-    sample: Sample<T>,
+    sample: Arc<Sample<T>>,
     bytes: u64,
     last_used: u64,
 }
@@ -340,6 +341,14 @@ const ENTRY_BASE_BYTES: u64 = 64;
 /// Eviction is LRU by a logical clock, driven by a byte budget measured in
 /// sample footprint bytes (plus small per-entry overhead). An entry larger
 /// than the whole budget is simply not cached.
+///
+/// Neither an insert nor a hit copies a sample: entries are `Arc`s, and a
+/// hit returns the cached allocation. A hit is therefore the *same*
+/// realization as the union that populated the entry, and it consumes none
+/// of the caller's randomness: repeated queries over one selection are
+/// perfectly correlated until an invalidation. That suits dashboards that
+/// re-read a span; a caller averaging repeated estimates of one selection
+/// must not count hits as independent draws.
 #[derive(Debug)]
 pub struct UnionCache<T: SampleValue> {
     max_bytes: u64,
@@ -384,8 +393,8 @@ impl<T: SampleValue> UnionCache<T> {
     }
 
     /// Look up a cached union. A hit refreshes the entry's LRU position and
-    /// clones the sample out.
-    pub fn get(&self, key: &CacheKey) -> Option<Sample<T>> {
+    /// shares the cached sample.
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<Sample<T>>> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.lookups += 1;
         inner.clock += 1;
@@ -393,7 +402,7 @@ impl<T: SampleValue> UnionCache<T> {
         let found = match inner.map.get_mut(key) {
             Some(entry) => {
                 entry.last_used = clock;
-                Some(entry.sample.clone())
+                Some(Arc::clone(&entry.sample))
             }
             None => None,
         };
@@ -413,7 +422,7 @@ impl<T: SampleValue> UnionCache<T> {
     /// is refused (returns `false`) — the result may describe partitions
     /// that no longer exist. Entries larger than the whole budget are also
     /// refused.
-    pub fn insert(&self, key: CacheKey, sample: Sample<T>, epoch: u64) -> bool {
+    pub fn insert(&self, key: CacheKey, sample: Arc<Sample<T>>, epoch: u64) -> bool {
         let entry_bytes = sample.footprint_bytes() + key.parts.len() as u64 * 24 + ENTRY_BASE_BYTES;
         if entry_bytes > self.max_bytes {
             return false;
@@ -514,6 +523,69 @@ impl<T: SampleValue> UnionCache<T> {
         self.metrics.entries.set(inner.map.len() as i64);
         self.metrics.bytes.set(inner.bytes as i64);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Range selection
+// ---------------------------------------------------------------------------
+
+/// The partitions of `parts` (one dataset's, under `policy`) that answer
+/// [`LifecycleManager::union_seq_range`] over raw seqs `seqs` of raw stream
+/// `raw`, in id order: cold spans inside the range, then warm spans no
+/// selected span covers, then hot leaves no selected span covers. Covered
+/// seqs are kept as disjoint intervals keyed by their start, so selection
+/// costs O(resident partitions · log spans), whatever the range's length.
+fn select_seq_range(
+    policy: LifecyclePolicy,
+    parts: &[PartitionId],
+    dataset: DatasetId,
+    raw: u32,
+    seqs: &std::ops::RangeInclusive<u64>,
+) -> Result<Vec<PartitionId>, LifecycleError> {
+    let mut covered: BTreeMap<u64, u64> = BTreeMap::new();
+    // Disjoint intervals sorted by start also have sorted ends, so the one
+    // with the greatest start at or below `phi` reaches furthest.
+    let overlaps = |covered: &BTreeMap<u64, u64>, plo: u64, phi: u64| {
+        covered
+            .range(..=phi)
+            .next_back()
+            .is_some_and(|(_, &end)| end >= plo)
+    };
+    let mut selected = Vec::new();
+    for tier in [Tier::Cold, Tier::Warm] {
+        for p in parts
+            .iter()
+            .filter(|p| Tier::of_stream(p.stream) == tier && raw_stream(p.stream) == raw)
+        {
+            let (plo, phi) = policy.span_of(*p);
+            if phi < *seqs.start() || plo > *seqs.end() {
+                continue;
+            }
+            if plo < *seqs.start() || phi > *seqs.end() {
+                return Err(LifecycleError::MisalignedSpan {
+                    dataset,
+                    partition: *p,
+                    lo: plo,
+                    hi: phi,
+                });
+            }
+            // Warm spans whose seqs a selected cold span already covers
+            // cannot exist (compaction retires them), but guard anyway.
+            if overlaps(&covered, plo, phi) {
+                continue;
+            }
+            selected.push(*p);
+            covered.insert(plo, phi);
+        }
+    }
+    selected.extend(parts.iter().filter(|p| {
+        Tier::of_stream(p.stream) == Tier::Hot
+            && p.stream == raw
+            && seqs.contains(&p.seq)
+            && !overlaps(&covered, p.seq, p.seq)
+    }));
+    selected.sort_unstable();
+    Ok(selected)
 }
 
 // ---------------------------------------------------------------------------
@@ -1034,10 +1106,12 @@ impl<T: ValueCodec> LifecycleManager<T> {
             let samples: Vec<Sample<T>> = inputs
                 .iter()
                 .map(|p| {
-                    self.catalog.get(PartitionKey {
-                        dataset,
-                        partition: *p,
-                    })
+                    self.catalog
+                        .get(PartitionKey {
+                            dataset,
+                            partition: *p,
+                        })
+                        .map(Arc::unwrap_or_clone)
                 })
                 .collect::<Result<_, _>>()?;
             let lineages: Vec<Vec<swh_core::lineage::LineageEvent>> =
@@ -1234,49 +1308,15 @@ impl<T: ValueCodec> LifecycleManager<T> {
         raw: u32,
         seqs: std::ops::RangeInclusive<u64>,
         rng: &mut R,
-    ) -> Result<Sample<T>, LifecycleError> {
-        let policy = self.policy(dataset);
-        let (lo, hi) = (*seqs.start(), *seqs.end());
+    ) -> Result<Arc<Sample<T>>, LifecycleError> {
         let parts = self.catalog.partitions(dataset)?;
-        let mut selected: BTreeSet<PartitionId> = BTreeSet::new();
-        let mut covered: BTreeSet<u64> = BTreeSet::new();
-        for tier in [Tier::Cold, Tier::Warm] {
-            for p in parts
-                .iter()
-                .filter(|p| Tier::of_stream(p.stream) == tier && raw_stream(p.stream) == raw)
-            {
-                let (plo, phi) = policy.span_of(*p);
-                if phi < lo || plo > hi {
-                    continue;
-                }
-                if plo < lo || phi > hi {
-                    return Err(LifecycleError::MisalignedSpan {
-                        dataset,
-                        partition: *p,
-                        lo: plo,
-                        hi: phi,
-                    });
-                }
-                // Warm spans whose seqs a selected cold span already covers
-                // cannot exist (compaction retires them), but guard anyway.
-                if (plo..=phi).any(|s| covered.contains(&s)) {
-                    continue;
-                }
-                selected.insert(*p);
-                covered.extend(plo..=phi);
-            }
-        }
-        for p in parts.iter().filter(|p| {
-            Tier::of_stream(p.stream) == Tier::Hot
-                && p.stream == raw
-                && (lo..=hi).contains(&p.seq)
-                && !covered.contains(&p.seq)
-        }) {
-            selected.insert(*p);
-        }
-        Ok(self
-            .catalog
-            .union_sample(dataset, |p| selected.contains(&p), self.p_bound, rng)?)
+        let selected = select_seq_range(self.policy(dataset), &parts, dataset, raw, &seqs)?;
+        Ok(self.catalog.union_sample(
+            dataset,
+            |p| selected.binary_search(&p).is_ok(),
+            self.p_bound,
+            rng,
+        )?)
     }
 
     /// Human/machine-readable lifecycle status of every dataset in the
@@ -1322,9 +1362,7 @@ impl<T: ValueCodec> LifecycleManager<T> {
         out.push_str("]}");
         out
     }
-}
 
-impl<T: ValueCodec + Sync> LifecycleManager<T> {
     /// Start the background compactor: a thread that runs
     /// [`LifecycleManager::sweep`] every `interval` until the returned
     /// handle is stopped (or dropped). Merge randomness comes from a
@@ -1596,6 +1634,123 @@ mod tests {
         assert_eq!(s.parent_size(), 200);
     }
 
+    /// The per-seq construction range selection used before it kept
+    /// intervals: the oracle for [`select_seq_range`].
+    fn select_per_seq(
+        policy: LifecyclePolicy,
+        parts: &[PartitionId],
+        dataset: DatasetId,
+        raw: u32,
+        seqs: &std::ops::RangeInclusive<u64>,
+    ) -> Result<BTreeSet<PartitionId>, LifecycleError> {
+        let (lo, hi) = (*seqs.start(), *seqs.end());
+        let mut selected = BTreeSet::new();
+        let mut covered = BTreeSet::new();
+        for tier in [Tier::Cold, Tier::Warm] {
+            for p in parts
+                .iter()
+                .filter(|p| Tier::of_stream(p.stream) == tier && raw_stream(p.stream) == raw)
+            {
+                let (plo, phi) = policy.span_of(*p);
+                if phi < lo || plo > hi {
+                    continue;
+                }
+                if plo < lo || phi > hi {
+                    return Err(LifecycleError::MisalignedSpan {
+                        dataset,
+                        partition: *p,
+                        lo: plo,
+                        hi: phi,
+                    });
+                }
+                if (plo..=phi).any(|s| covered.contains(&s)) {
+                    continue;
+                }
+                selected.insert(*p);
+                covered.extend(plo..=phi);
+            }
+        }
+        selected.extend(parts.iter().copied().filter(|p| {
+            Tier::of_stream(p.stream) == Tier::Hot
+                && p.stream == raw
+                && (lo..=hi).contains(&p.seq)
+                && !covered.contains(&p.seq)
+        }));
+        Ok(selected)
+    }
+
+    #[test]
+    fn range_selection_matches_the_per_seq_construction() {
+        // Random sweeps: two raw streams rolled in minute by minute under
+        // random warm/cold fan-ins (a cold fan-in below 2 leaves no cold
+        // tier), swept at random minutes, and queried over random ranges,
+        // aligned or not, on a third stream that never exists too.
+        use rand::Rng;
+        let (mut answered, mut refused) = (0usize, 0usize);
+        for case in 0..10u64 {
+            let mut rng = seeded_rng(0x5E9 + case);
+            let cat = Arc::new(Catalog::new());
+            let ds = DatasetId(1);
+            let mgr = LifecycleManager::new(Arc::clone(&cat), None, 1e-3);
+            mgr.set_policy(
+                ds,
+                policy(rng.random_range(2u64..6), rng.random_range(0u64..4)),
+            );
+            for now in 0..rng.random_range(30u64..100) {
+                for raw in 0..2u32 {
+                    let rows = now * 10..now * 10 + 2 + u64::from(raw);
+                    cat.roll_in(
+                        PartitionKey {
+                            dataset: ds,
+                            partition: PartitionId::new(raw, now),
+                        },
+                        sample(rows, &mut rng),
+                    )
+                    .unwrap();
+                }
+                if rng.random_bool(0.2) {
+                    mgr.sweep(&mut rng).unwrap();
+                }
+                let parts = cat.partitions(ds).unwrap();
+                for _ in 0..4 {
+                    let raw = rng.random_range(0u32..3);
+                    let lo = rng.random_range(0..=now);
+                    let seqs = lo..=rng.random_range(lo..=now + 2);
+                    let span = (raw, seqs.clone());
+                    let got = select_seq_range(mgr.policy(ds), &parts, ds, raw, &seqs);
+                    let want = select_per_seq(mgr.policy(ds), &parts, ds, raw, &seqs);
+                    let want = match (got, want) {
+                        (Ok(got), Ok(want)) => {
+                            assert!(got.windows(2).all(|w| w[0] < w[1]), "{span:?}");
+                            assert_eq!(got.into_iter().collect::<BTreeSet<_>>(), want);
+                            answered += 1;
+                            want
+                        }
+                        (Err(got), Err(want)) => {
+                            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                            refused += 1;
+                            continue;
+                        }
+                        (got, want) => panic!("{span:?}: {got:?} against {want:?}"),
+                    };
+                    if want.is_empty() {
+                        continue;
+                    }
+                    let seed = rng.random::<u64>();
+                    let a = mgr
+                        .union_seq_range(ds, raw, seqs, &mut seeded_rng(seed))
+                        .unwrap();
+                    let b = cat
+                        .union_sample(ds, |p| want.contains(&p), 1e-3, &mut seeded_rng(seed))
+                        .unwrap();
+                    assert_eq!(a, b, "{span:?}");
+                    assert_eq!(a.lineage(), b.lineage(), "{span:?}");
+                }
+            }
+        }
+        assert!(answered > 100 && refused > 100, "{answered} / {refused}");
+    }
+
     #[test]
     fn retention_expires_by_age_and_budget() {
         let mut rng = seeded_rng(14);
@@ -1641,7 +1796,7 @@ mod tests {
     fn union_cache_hits_and_lru_eviction() {
         let registry = swh_obs::Registry::new();
         let mut rng = seeded_rng(15);
-        let a = sample(0..500, &mut rng);
+        let a = Arc::new(sample(0..500, &mut rng));
         let bytes_per = a.footprint_bytes() + 24 + ENTRY_BASE_BYTES;
         let cache: UnionCache<u64> = UnionCache::with_registry(&registry, bytes_per * 2);
         let ds = DatasetId(1);
@@ -1666,7 +1821,7 @@ mod tests {
     fn union_cache_epoch_rejects_stale_insert() {
         let registry = swh_obs::Registry::new();
         let mut rng = seeded_rng(16);
-        let s = sample(0..100, &mut rng);
+        let s = Arc::new(sample(0..100, &mut rng));
         let cache: UnionCache<u64> = UnionCache::with_registry(&registry, 1 << 20);
         let ds = DatasetId(1);
         let k = CacheKey::new(ds, vec![PartitionId::seq(0)], 32, 1e-3);

@@ -7,6 +7,7 @@ use crate::ingest::SamplerConfig;
 use crate::parallel::sample_partitions_parallel;
 use crate::store::{DiskStore, StoreError};
 use rand::Rng;
+use std::sync::Arc;
 use swh_core::footprint::FootprintPolicy;
 use swh_core::lineage;
 use swh_core::sample::Sample;
@@ -191,16 +192,17 @@ impl<T: SampleValue> SampleWarehouse<T> {
 
     /// Roll a partition sample out of the warehouse, returning it.
     pub fn roll_out(&self, key: PartitionKey) -> Result<Sample<T>, WarehouseError> {
-        Ok(self.catalog.roll_out(key)?.sample)
+        Ok(Arc::unwrap_or_clone(self.catalog.roll_out(key)?.sample))
     }
 
-    /// Uniform sample of the union of the selected partitions.
+    /// Uniform sample of the union of the selected partitions, shared with
+    /// the catalog's union cache when one is attached.
     pub fn query_union<R: Rng + ?Sized>(
         &self,
         dataset: DatasetId,
         select: impl FnMut(PartitionId) -> bool,
         rng: &mut R,
-    ) -> Result<Sample<T>, WarehouseError> {
+    ) -> Result<Arc<Sample<T>>, WarehouseError> {
         Ok(self
             .catalog
             .union_sample(dataset, select, self.p_bound, rng)?)
@@ -211,7 +213,7 @@ impl<T: SampleValue> SampleWarehouse<T> {
         &self,
         dataset: DatasetId,
         rng: &mut R,
-    ) -> Result<Sample<T>, WarehouseError> {
+    ) -> Result<Arc<Sample<T>>, WarehouseError> {
         self.query_union(dataset, |_| true, rng)
     }
 }

@@ -9,15 +9,17 @@
 //! per-partition samples.
 
 use std::collections::VecDeque;
-use swh_core::merge::{merge_all, merge_all_borrowed, MergeError};
+use std::sync::Arc;
+use swh_core::merge::{merge_all, merge_tree_parallel, MergeError};
 use swh_core::sample::Sample;
 use swh_core::value::SampleValue;
 
-/// Samples of the last `w` partitions of one data set.
+/// Samples of the last `w` partitions of one data set, shared: a window
+/// over catalog samples holds the catalog's `Arc`s, not copies.
 #[derive(Debug, Clone)]
 pub struct SlidingWindow<T: SampleValue> {
     capacity: usize,
-    entries: VecDeque<(u64, Sample<T>)>,
+    entries: VecDeque<(u64, Arc<Sample<T>>)>,
 }
 
 impl<T: SampleValue> SlidingWindow<T> {
@@ -54,14 +56,18 @@ impl<T: SampleValue> SlidingWindow<T> {
     ///
     /// # Panics
     /// Panics if `seq` is not greater than the last rolled-in sequence.
-    pub fn roll_in(&mut self, seq: u64, sample: Sample<T>) -> Option<(u64, Sample<T>)> {
+    pub fn roll_in(
+        &mut self,
+        seq: u64,
+        sample: impl Into<Arc<Sample<T>>>,
+    ) -> Option<(u64, Arc<Sample<T>>)> {
         if let Some((last, _)) = self.entries.back() {
             assert!(
                 seq > *last,
                 "window sequence must increase ({seq} after {last})"
             );
         }
-        self.entries.push_back((seq, sample));
+        self.entries.push_back((seq, sample.into()));
         if self.entries.len() > self.capacity {
             self.entries.pop_front()
         } else {
@@ -89,9 +95,10 @@ impl<T: SampleValue> SlidingWindow<T> {
         rng: &mut R,
     ) -> Result<Sample<T>, MergeError> {
         assert!(!self.entries.is_empty(), "window is empty");
-        // Read-mostly path: merge the resident samples by reference so a
-        // query stops cloning all w histograms up front.
-        merge_all_borrowed(self.entries.iter().map(|(_, s)| s), p_bound, rng)
+        // Read-mostly path: the union's one-thread plan reads the resident
+        // samples by reference, so a query never clones all w up front.
+        let samples: Vec<&Sample<T>> = self.entries.iter().map(|(_, s)| &**s).collect();
+        merge_tree_parallel(&samples, p_bound, 1, rng)
     }
 }
 

@@ -38,7 +38,8 @@ fn main() {
             .expect("roll-in");
         total_rows += volume;
 
-        // Maintain the 7-day moving window alongside the full catalog.
+        // Maintain the 7-day moving window alongside the full catalog; both
+        // hold the same shared sample.
         let daily = warehouse.catalog().get(key).expect("just ingested");
         window.roll_in(day, daily);
     }

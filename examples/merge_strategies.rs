@@ -1,7 +1,8 @@
-//! Tour of the merge operators: serial fold (the paper's setup), balanced
-//! tree, alias-cached symmetric tree (§4.2), direct multiway merge
-//! (Theorem 1 generalized), and the planned merge DAG on one thread — all
-//! producing uniform samples of the same union.
+//! Tour of the merge operators: serial fold (the paper's setup), direct
+//! multiway merge (Theorem 1 generalized), and the planned merge DAG the
+//! catalog runs — multiway nodes plus alias-cached symmetric pairs (§4.2) —
+//! on one thread and on two — all producing uniform samples of the same
+//! union.
 //!
 //! ```sh
 //! cargo run --release --example merge_strategies
@@ -9,8 +10,7 @@
 
 use sample_warehouse::sampling::merge::merge_tree_parallel;
 use sample_warehouse::sampling::{
-    hr_merge_multiway, hr_merge_tree_cached, merge_all, merge_tree, FootprintPolicy,
-    HybridReservoir, HypergeometricCache, Sample, Sampler,
+    hr_merge_multiway, merge_all, FootprintPolicy, HybridReservoir, Sample, Sampler,
 };
 use sample_warehouse::variates::seeded_rng;
 use std::time::Instant;
@@ -31,33 +31,27 @@ fn main() {
         "strategy", "time", "sample size", "covers"
     );
 
-    let mut cache = HypergeometricCache::new();
-    type Runner<'a> =
-        Box<dyn FnMut(Vec<Sample<u64>>, &mut rand::rngs::SmallRng) -> Sample<u64> + 'a>;
+    type Runner = Box<dyn Fn(Vec<Sample<u64>>, &mut rand::rngs::SmallRng) -> Sample<u64>>;
+    let planned = |threads: usize| -> Runner {
+        Box::new(move |s, rng| {
+            let leaves: Vec<&Sample<u64>> = s.iter().collect();
+            merge_tree_parallel(&leaves, 1e-3, threads, rng).unwrap()
+        })
+    };
     let strategies: Vec<(&str, Runner)> = vec![
         (
             "serial fold (paper)",
             Box::new(|s, rng| merge_all(s, 1e-3, rng).unwrap()),
         ),
         (
-            "balanced tree",
-            Box::new(|s, rng| merge_tree(s, 1e-3, rng).unwrap()),
-        ),
-        (
-            "cached symmetric tree",
-            Box::new(|s, rng| hr_merge_tree_cached(s, &mut cache, rng).unwrap()),
-        ),
-        (
             "direct multiway",
             Box::new(|s, rng| hr_merge_multiway(s, rng).unwrap()),
         ),
-        (
-            "planned DAG, one thread",
-            Box::new(|s, rng| merge_tree_parallel(s, 1e-3, 1, rng).unwrap()),
-        ),
+        ("planned DAG, one thread", planned(1)),
+        ("planned DAG, two threads", planned(2)),
     ];
 
-    for (name, mut run) in strategies {
+    for (name, run) in strategies {
         let samples = partitions(parts, per, n_f, &mut rng);
         let start = Instant::now();
         let merged = run(samples, &mut rng);
@@ -72,7 +66,7 @@ fn main() {
     }
     println!(
         "\nAll strategies yield a statistically identical uniform sample of the union;\n\
-         they differ only in cost (and the alias cache now holds {} table(s)).",
-        cache.len()
+         they differ only in cost, and the planned DAG gives the same sample on any\n\
+         number of threads."
     );
 }

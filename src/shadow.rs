@@ -4,6 +4,7 @@
 //! measure exactly what the approximation trades away.
 
 use std::path::Path;
+use std::sync::Arc;
 use swh_aqp::estimators::Estimate;
 use swh_aqp::query::Query;
 use swh_core::footprint::FootprintPolicy;
@@ -123,7 +124,7 @@ impl ShadowedWarehouse {
     }
 
     /// Uniform sample of the whole dataset from the shadow.
-    pub fn dataset_sample(&mut self, dataset: DatasetId) -> Result<Sample<i64>, ShadowError> {
+    pub fn dataset_sample(&mut self, dataset: DatasetId) -> Result<Arc<Sample<i64>>, ShadowError> {
         self.seed = self.seed.wrapping_add(1);
         let mut rng = seeded_rng(self.seed);
         Ok(self.samples.query_all(dataset, &mut rng)?)

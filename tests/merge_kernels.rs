@@ -100,7 +100,8 @@ fn hb_node_keeps_every_element_at_the_root_rate() {
         let parts: Vec<Sample<u64>> = (0..rates.len() as u64)
             .map(|i| plain_bernoulli(i * per..(i + 1) * per, rates[i as usize], n_f, &mut rng))
             .collect();
-        let m = merge_tree_parallel(parts, 1e-3, 1, &mut rng).unwrap();
+        let leaves: Vec<&Sample<u64>> = parts.iter().collect();
+        let m = merge_tree_parallel(&leaves, 1e-3, 1, &mut rng).unwrap();
         assert!(matches!(m.kind(), SampleKind::Bernoulli { .. }));
         for (v, _) in m.histogram().iter() {
             incl[*v as usize] += 1;
@@ -139,7 +140,8 @@ fn overflowing_bernoulli_plan_stays_uniform() {
                 )
             })
             .collect();
-        let m = merge_tree_parallel(parts, 0.4, 1, &mut rng).unwrap();
+        let leaves: Vec<&Sample<u64>> = parts.iter().collect();
+        let m = merge_tree_parallel(&leaves, 0.4, 1, &mut rng).unwrap();
         assert!(m.size() <= n_f);
         reservoirs += usize::from(m.kind() == SampleKind::Reservoir);
         for (v, _) in m.histogram().iter() {

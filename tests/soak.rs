@@ -84,7 +84,7 @@ fn churn(cycles: u64, seed: u64) {
             let reloaded = store.load::<u64>(key).expect("load");
             assert_eq!(
                 reloaded,
-                wh.catalog().get(key).expect("live"),
+                *wh.catalog().get(key).expect("live"),
                 "cycle {cycle}"
             );
         }
